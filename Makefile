@@ -6,7 +6,7 @@ BENCH_OUT ?= BENCH_kernel.json
 BENCH_LABEL ?= current
 BENCH_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp/quantumnet-bench)
 
-.PHONY: build test vet race tier1 bench bench-service bench-check list-solvers serve loadtest smoke-service smoke-service-sharded smoke-recovery smoke-recovery-sharded smoke-qos smoke-timesim clean
+.PHONY: build test vet race perfbench-build tier1 bench bench-service bench-check list-solvers serve loadtest smoke-service smoke-service-sharded smoke-recovery smoke-recovery-sharded smoke-qos smoke-timesim clean
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,16 @@ race:
 		./internal/service ./internal/qos ./internal/wal ./internal/snapshot \
 		./internal/topology ./internal/timesim ./internal/workload
 
-# tier1 is the repo's merge gate: build, full tests, vet, race.
-tier1: build test vet race
+# perfbench-build compiles and vets the benchmark module (perfbench/, built
+# offline against this checkout through its replace directive), so a change
+# to the internal/service API that breaks the benchmark fails the merge gate
+# rather than the benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
+# tier1 is the repo's merge gate: build, full tests, vet, race, and the
+# benchmark module's build + vet.
+tier1: build test vet race perfbench-build
 
 # bench refreshes BENCH_kernel.json's "$(BENCH_LABEL)" run: the channel
 # search kernel + solver microbenches (with allocation counts) and the two

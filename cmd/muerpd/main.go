@@ -30,11 +30,12 @@
 //	-snapshot-every / -snapshot-interval  snapshot cadence
 //	-solve-cache solve-cache entries per admission plane (0 = default 256,
 //	             negative disables caching)
-//	-qos-config  tenant QoS policy JSON ({"tenants":[...]}); enables the
-//	             multi-tenant queue layer (DESIGN.md §11). With -data-dir the
+//	-qos-config  tenant QoS policy JSON ({"tenants":[...]}) for the DWRR
+//	             admission queue (DESIGN.md §11). With -data-dir the
 //	             effective policy is pinned in the data directory and a
 //	             restart with a different policy refuses to start. Empty =
-//	             single default tenant, plain FIFO.
+//	             the queue's one-tenant case: every request on the default
+//	             tenant, no quota, depth -queue.
 //	-pprof       expose net/http/pprof on this side address (e.g.
 //	             127.0.0.1:6060; empty = off). The profiler listens on its
 //	             own socket, never on the service API. With -addr-file the

@@ -98,7 +98,7 @@ func run(args []string, out io.Writer) error {
 				return fmt.Errorf("shard %d: %w", r, err)
 			}
 			if !*noVerify {
-				if err := service.VerifyShardState(rg, params, rec.State); err != nil {
+				if err := service.VerifyState(rg, params, rec.State); err != nil {
 					return fmt.Errorf("shard %d verification failed: %w", r, err)
 				}
 			}

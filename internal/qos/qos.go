@@ -25,7 +25,7 @@ import (
 // DefaultTenant is the tenant every request without a tenant name (and any
 // unknown tenant name) is served under. A configuration that does not list
 // it gets it appended with weight 1, no quota and the scheduler's default
-// queue bound — which is exactly the pre-QoS FIFO behaviour.
+// queue bound; alone, it is the anonymous daemon's plain FIFO queue.
 const DefaultTenant = "default"
 
 // Package errors. ThrottleError wraps ErrThrottled and carries the

@@ -86,10 +86,10 @@ func seconds(x float64) time.Duration {
 // speculative scheduler forced on with one worker — a single worker leaves
 // nothing able to move between a view snapshot and its validation, so the
 // speculative pipeline must collapse to the exact serial decision sequence
-// (DESIGN.md §8). The qos variants re-run both with the QoS queue layer on
-// under its degenerate single-tenant config: one tenant's DWRR is pure
-// FIFO, so the decision sequence must stay identical decision for decision
-// (DESIGN.md §11).
+// (DESIGN.md §8). Every mode queues on the DWRR scheduler; the qos variants
+// re-run both with an explicit single-tenant policy instead of none. One
+// tenant's DWRR is pure FIFO, so the decision sequence must stay identical
+// decision for decision (DESIGN.md §11).
 func TestDifferentialAgainstSimulate(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
@@ -233,5 +233,51 @@ func TestFakeClockExpiryWheel(t *testing.T) {
 	}
 	if _, err := s.Submit(context.Background(), []graph.NodeID{2, 3}, 10*time.Second); err != nil {
 		t.Fatalf("post-expiry session: %v", err)
+	}
+}
+
+// TestBatchFillWaitsMaxWait pins Config.MaxWait on the fake clock: the
+// batch that takes a request arms the MaxWait timer and keeps filling until
+// it fires, so two requests submitted back to back are decided as one batch,
+// and not before the wait runs out.
+func TestBatchFillWaitsMaxWait(t *testing.T) {
+	base := time.Unix(0, 0)
+	fc := newFakeClock(base)
+	s := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Second, MaxTTL: time.Hour, Clock: fc})
+
+	results := make(chan error, 2)
+	for _, users := range [][]graph.NodeID{{0, 1}, {2, 3}} {
+		go func() {
+			_, err := s.Submit(context.Background(), users, time.Minute)
+			results <- err
+		}()
+	}
+	// Both requests are taken into the batch once the queue is empty; the
+	// batch's timer is the only fake-clock waiter (no session holds an
+	// expiry yet).
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		fc.mu.Lock()
+		armed := len(fc.waiters) > 0
+		fc.mu.Unlock()
+		if armed && s.ctrs.requests.Load() == 2 && s.queue.Len() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never took both requests under an armed MaxWait timer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(results) != 0 {
+		t.Fatal("a request was decided before MaxWait ran out")
+	}
+	fc.Set(base.Add(time.Second))
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil && !errors.Is(err, core.ErrInfeasible) {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	if b := s.Metrics().Batches; b.Count != 1 || b.Requests != 2 {
+		t.Fatalf("batches %+v, want the two requests decided as one batch", b)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/graph"
+	"github.com/muerp/quantumnet/internal/qos"
 	"github.com/muerp/quantumnet/internal/quantum"
 	"github.com/muerp/quantumnet/internal/snapshot"
 	"github.com/muerp/quantumnet/internal/wal"
@@ -313,11 +314,12 @@ type warmSets struct {
 	Sets [][]graph.NodeID `json:"sets"`
 }
 
-// pinEnvironment stores the topology and physical parameters in the data
-// directory on first use, and on later boots verifies the configured ones
-// match: a WAL replays channel reservations by node ID, so recovering onto
-// a different graph would corrupt state silently.
-func pinEnvironment(dataDir string, g *graph.Graph, p quantum.Params) error {
+// pinEnvironment stores the topology, physical parameters and tenant policy
+// in the data directory on first use, and on later boots verifies the
+// configured ones match: a WAL replays channel reservations by node ID, so
+// recovering onto a different graph would corrupt state silently. A daemon
+// without a tenant policy pins no qos.json, so a later restart may add one.
+func pinEnvironment(dataDir string, g *graph.Graph, p quantum.Params, policy *qos.Config) error {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return err
 	}
@@ -332,7 +334,17 @@ func pinEnvironment(dataDir string, g *graph.Graph, p quantum.Params) error {
 	if err != nil {
 		return err
 	}
-	return pinFile(ParamsPath(dataDir), wantP, "params")
+	if err := pinFile(ParamsPath(dataDir), wantP, "params"); err != nil {
+		return err
+	}
+	if policy == nil {
+		return nil
+	}
+	wantQ, err := json.Marshal(policy.Normalized())
+	if err != nil {
+		return err
+	}
+	return pinFile(QoSPath(dataDir), wantQ, "qos config")
 }
 
 func pinFile(path string, want []byte, what string) error {
@@ -569,17 +581,8 @@ func (s *Server) openDurability(cfg Config) error {
 		sdir = shardSnapDir(cfg.DataDir, sh.index)
 		rec, err = RecoverShard(cfg.DataDir, sh.index, cfg.Graph)
 	} else {
-		if err := pinEnvironment(cfg.DataDir, cfg.Graph, cfg.Params); err != nil {
+		if err := pinEnvironment(cfg.DataDir, cfg.Graph, cfg.Params, cfg.QoS); err != nil {
 			return err
-		}
-		if s.qcfg != nil {
-			b, merr := json.Marshal(s.qcfg)
-			if merr != nil {
-				return merr
-			}
-			if err := pinFile(QoSPath(cfg.DataDir), b, "qos config"); err != nil {
-				return err
-			}
 		}
 		rec, err = Recover(cfg.DataDir, cfg.Graph)
 	}

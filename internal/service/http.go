@@ -31,6 +31,21 @@ type errorBody struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// plane is what the HTTP API serves: a standalone Server or a ShardedServer.
+type plane interface {
+	SubmitTenant(ctx context.Context, tenant string, users []graph.NodeID, ttl time.Duration) (SessionInfo, error)
+	Session(id string) (SessionInfo, bool)
+	Delete(id string) error
+	Graph() *graph.Graph
+	// retryAfter is the backoff hint attached to queue-full rejections.
+	retryAfter() time.Duration
+	// metricsDoc is the GET /metrics document.
+	metricsDoc() any
+	// healthErr is ErrClosed while draining, ErrDurability after a failed
+	// WAL append, nil while serving.
+	healthErr() error
+}
+
 // Handler returns the daemon's HTTP API:
 //
 //	POST   /sessions        admit a session   → 201, 400, 409, 429, 503, 504
@@ -39,38 +54,81 @@ type errorBody struct {
 //	GET    /metrics         counters + shared admission summary
 //	GET    /topology        the served graph as JSON
 //	GET    /healthz         200 while serving, 503 while draining
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return newMux(s) }
+
+func (s *Server) retryAfter() time.Duration { return s.cfg.RetryAfter }
+func (s *Server) metricsDoc() any           { return s.Metrics() }
+
+func (s *Server) healthErr() error {
+	if s.closing.Load() {
+		return ErrClosed
+	}
+	if s.dur != nil && s.dur.failed.Load() {
+		return ErrDurability
+	}
+	return nil
+}
+
+// newMux registers the API routes shared by every plane.
+func newMux(p plane) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sessions", s.handleCreate)
-	mux.HandleFunc("GET /sessions/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /sessions/{id}", s.handleDelete)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /topology", s.handleTopology)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
+		var req SessionRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+		if err := dec.Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode body: %v", err))
+			return
+		}
+		if req.TTLMs < 0 {
+			writeError(w, http.StatusBadRequest, "bad_request", "ttl_ms must be >= 0")
+			return
+		}
+		info, err := p.SubmitTenant(r.Context(), req.Tenant, req.Users, time.Duration(req.TTLMs)*time.Millisecond)
+		if err != nil {
+			writeSubmitError(w, p.retryAfter(), err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, info)
+	})
+	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+		info, ok := p.Session(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, "not_found", "no such session")
+			return
+		}
+		writeJSON(w, http.StatusOK, info)
+	})
+	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if err := p.Delete(r.PathValue("id")); err != nil {
+			writeError(w, http.StatusNotFound, "not_found", err.Error())
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, p.metricsDoc())
+	})
+	mux.HandleFunc("GET /topology", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = p.Graph().WriteJSON(w)
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		switch err := p.healthErr(); {
+		case errors.Is(err, ErrClosed):
+			writeError(w, http.StatusServiceUnavailable, "shutting_down", "")
+		case err != nil:
+			// A WAL append failed: in-memory state is fine but can no longer
+			// be promised across a crash. Operators should replace the node.
+			writeError(w, http.StatusServiceUnavailable, "durability_failed", err.Error())
+		default:
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprintln(w, "ok")
+		}
+	})
 	return mux
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req SessionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode body: %v", err))
-		return
-	}
-	if req.TTLMs < 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "ttl_ms must be >= 0")
-		return
-	}
-	info, err := s.SubmitTenant(r.Context(), req.Tenant, req.Users, time.Duration(req.TTLMs)*time.Millisecond)
-	if err != nil {
-		writeSubmitError(w, s.cfg.RetryAfter, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
-}
-
-// writeSubmitError maps a Submit outcome onto the HTTP status space; shared
-// by the standalone and sharded handlers.
+// writeSubmitError maps a Submit outcome onto the HTTP status space.
 func writeSubmitError(w http.ResponseWriter, retryAfter time.Duration, err error) {
 	var throttle *qos.ThrottleError
 	switch {
@@ -105,47 +163,6 @@ func writeSubmitError(w http.ResponseWriter, retryAfter time.Duration, err error
 	default:
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 	}
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	info, ok := s.Session(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such session")
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if err := s.Delete(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-func (s *Server) handleTopology(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.cfg.Graph.WriteJSON(w)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.closing.Load() {
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", "")
-		return
-	}
-	if s.dur != nil && s.dur.failed.Load() {
-		// A WAL append failed: in-memory state is fine but can no longer be
-		// promised across a crash. Operators should replace the node.
-		writeError(w, http.StatusServiceUnavailable, "durability_failed", ErrDurability.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -175,6 +175,7 @@ type Metrics struct {
 	// admission hot path.
 	FootprintPool *FootprintPoolMetrics `json:"footprint_pool,omitempty"`
 	// Tenants is the per-tenant SLO section (qosplane.go); nil without a
-	// QoS config. In the sharded plane it is aggregated across shards.
+	// tenant policy (Config.QoS). In the sharded plane it is aggregated
+	// across shards.
 	Tenants []TenantMetrics `json:"tenants,omitempty"`
 }

@@ -12,46 +12,57 @@ import (
 )
 
 // This file wires the internal/qos subsystem in front of the admission loop
-// (DESIGN.md §11). With Config.QoS set, the bounded FIFO channel is replaced
-// by the qos.Scheduler — per-tenant bounded sub-queues drained strict-
-// priority-first with deficit-weighted round-robin — as the queue/ordering
-// layer behind the PR-6 scheduler seam: the admission loop dequeues in QoS
-// order and hands micro-batches to the very same serial or speculative
-// scheduler, so solving, the ledger, durability and sharding are untouched.
-// A shared token-bucket limiter throttles over-rate tenants at Submit time
-// (HTTP 429 + Retry-After), before anything is queued.
+// (DESIGN.md §11). The qos.Scheduler — per-tenant bounded sub-queues drained
+// strict-priority-first with deficit-weighted round-robin — is the one
+// admission queue: the admission loop dequeues in its order and hands
+// micro-batches to the serial or speculative scheduler, so solving, the
+// ledger, durability and sharding are tenant-blind. A shared token-bucket
+// limiter throttles over-rate tenants at Submit time (HTTP 429 +
+// Retry-After), before anything is queued.
+//
+// Without a tenant policy (nil Config.QoS) the registry holds only the
+// default tenant: no quota, queue depth QueueSize, and one tenant's DWRR is
+// plain FIFO. Whether a policy was given is observable in exactly three
+// places: unknown tenant names tag sessions verbatim (wireTenant), no
+// qos.json is pinned (pinEnvironment), and /metrics has no tenants section
+// (tenantMetrics).
 //
 // Tenant identity on the wire: the empty string is the default tenant
 // everywhere inside the service (pending.tenant, SessionInfo.Tenant, WAL
 // records), so default-tenant records marshal byte-identically to the
 // pre-tenant schema and old WAL frames decode as default-tenant traffic.
 // The qos package's name space ("default") appears only at the qos API
-// boundary (wireTenant / qosName).
+// boundary (tenantStat.spec.ID).
+
+// tenantPolicy validates and normalizes the configured tenant policy; a nil
+// Config.QoS normalizes to the lone default tenant.
+func (c Config) tenantPolicy() (*qos.Config, error) {
+	policy := c.QoS
+	if policy == nil {
+		policy = &qos.Config{}
+	}
+	if err := policy.Validate(); err != nil {
+		return nil, err
+	}
+	return policy.Normalized(), nil
+}
 
 // wireTenant folds a request's tenant name onto the service's wire form:
-// "" is the default tenant. With a QoS config, unknown names fall back to
-// the default class (they are served, rate-limited and accounted there);
-// without one there is no registry to resolve against, so any name is kept
-// verbatim and merely tags the session.
+// "" is the default tenant. With a tenant policy, unknown names fall back
+// to the default class; without one, any name is kept verbatim and merely
+// tags the session. Either way an unknown name is served, rate-limited and
+// accounted under the default class (tenantTable.get).
 func (s *Server) wireTenant(name string) string {
 	if name == qos.DefaultTenant {
 		return ""
 	}
-	if s.qcfg == nil || name == "" {
+	if s.cfg.QoS == nil {
 		return name
 	}
-	if _, ok := s.qcfg.Tenant(name); ok {
+	if _, ok := s.tstats.stats[name]; ok {
 		return name
 	}
 	return ""
-}
-
-// qosName maps a wire tenant name onto the qos package's namespace.
-func qosName(wire string) string {
-	if wire == "" {
-		return qos.DefaultTenant
-	}
-	return wire
 }
 
 // tenantStat is one tenant's SLO accounting: outcome counters plus the
@@ -72,10 +83,10 @@ type tenantStat struct {
 }
 
 // clampTTL applies the tenant's session-lifetime cap on top of the
-// server-wide one, counting every request it shortens. A nil stat (no QoS
-// config) or an uncapped tenant returns the TTL unchanged.
+// server-wide one, counting every request it shortens. An uncapped tenant
+// returns the TTL unchanged.
 func (st *tenantStat) clampTTL(ttl time.Duration) time.Duration {
-	if st == nil || st.spec.MaxTTLMs <= 0 {
+	if st.spec.MaxTTLMs <= 0 {
 		return ttl
 	}
 	if cap := st.spec.MaxTTL(); ttl > cap {
@@ -123,102 +134,41 @@ func newTenantTable(c *qos.Config) *tenantTable {
 	return t
 }
 
+// get returns a wire tenant's stats; a name outside the registry (kept
+// verbatim only when no policy is configured) counts under the default
+// class.
 func (t *tenantTable) get(wire string) *tenantStat {
-	if t == nil {
-		return nil
+	if st, ok := t.stats[wire]; ok {
+		return st
 	}
-	return t.stats[wire]
+	return t.stats[""]
 }
 
 // finish records the request's per-tenant outcome and delivers the result.
 // Every decision path (serial, speculative, drain, close-bounce) funnels
 // through here so tenant SLO counters cannot drift from delivered results.
 func (p *pending) finish(r admitResult) {
-	if p.stat != nil {
-		p.stat.note(r.err, time.Since(p.enq))
-	}
+	p.stat.note(r.err, time.Since(p.enq))
 	p.result <- r
 }
 
-// wakeAdmission signals the QoS admission loop that an item was enqueued.
-// The channel is sticky (capacity 1): a signal is never lost, and the loop
-// drains the scheduler until empty per wakeup, so coalesced signals are
-// fine.
+// dequeue takes the next request in DWRR order; ok is false when every
+// tenant's queue is empty.
+func (s *Server) dequeue() (*pending, bool) {
+	item, _, ok := s.queue.Dequeue()
+	if !ok {
+		return nil, false
+	}
+	return item.(*pending), true
+}
+
+// wakeAdmission signals the admission loop that an item was enqueued. The
+// channel is sticky (capacity 1): a signal is never lost, and the loop
+// drains the queue until empty per wakeup, so coalesced signals are fine.
 func (s *Server) wakeAdmission() {
 	select {
 	case s.arrive <- struct{}{}:
 	default:
-	}
-}
-
-// qosAdmissionLoop is admissionLoop's QoS-mode body: the single consumer of
-// the qos.Scheduler. Each wakeup drains the scheduler in QoS order (strict
-// priority, DWRR, anti-starvation share), batching exactly like the FIFO
-// loop so with one tenant the decision sequence is identical (pinned by the
-// differential test).
-func (s *Server) qosAdmissionLoop() {
-	for {
-		select {
-		case <-s.quit:
-			s.drainQoS()
-			return
-		case <-s.arrive:
-			for {
-				item, _, ok := s.qsched.Dequeue()
-				if !ok {
-					break
-				}
-				s.sched.decide(s.fillBatchQoS(item.(*pending)))
-			}
-		}
-	}
-}
-
-// fillBatchQoS mirrors fillBatch over the QoS scheduler: it keeps dequeuing
-// until the batch is full, MaxWait elapses after the first request, or
-// shutdown starts.
-func (s *Server) fillBatchQoS(first *pending) []*pending {
-	batch := append(make([]*pending, 0, s.cfg.MaxBatch), first)
-	var timeout <-chan time.Time
-	for len(batch) < s.cfg.MaxBatch {
-		if item, _, ok := s.qsched.Dequeue(); ok {
-			batch = append(batch, item.(*pending))
-			continue
-		}
-		if s.cfg.MaxWait <= 0 {
-			return batch
-		}
-		if timeout == nil {
-			timeout = s.clock.After(s.cfg.MaxWait)
-		}
-		select {
-		case <-s.arrive:
-		case <-timeout:
-			return batch
-		case <-s.quit:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drainQoS decides everything still queued at shutdown, one final batch at
-// a time, in QoS order.
-func (s *Server) drainQoS() {
-	for {
-		item, _, ok := s.qsched.Dequeue()
-		if !ok {
-			return
-		}
-		batch := append(make([]*pending, 0, s.cfg.MaxBatch), item.(*pending))
-		for len(batch) < s.cfg.MaxBatch {
-			if it, _, ok := s.qsched.Dequeue(); ok {
-				batch = append(batch, it.(*pending))
-			} else {
-				break
-			}
-		}
-		s.sched.decide(batch)
 	}
 }
 
@@ -247,19 +197,19 @@ type TenantMetrics struct {
 	AdmissionLatency HistogramSnapshot `json:"admission_latency"`
 }
 
-// tenantMetrics snapshots the per-tenant SLO section; nil without a QoS
-// config.
+// tenantMetrics snapshots the per-tenant SLO section; nil without a tenant
+// policy, so the anonymous daemon's /metrics has no tenants section.
 func (s *Server) tenantMetrics() []TenantMetrics {
-	if s.tstats == nil {
+	if s.cfg.QoS == nil {
 		return nil
 	}
 	depth := make(map[string]qos.QueueStat)
-	for _, q := range s.qsched.Queues() {
+	for _, q := range s.queue.Queues() {
 		depth[q.Tenant] = q
 	}
 	out := make([]TenantMetrics, 0, len(s.tstats.stats))
-	for wire, st := range s.tstats.stats {
-		q := depth[qosName(wire)]
+	for _, st := range s.tstats.stats {
+		q := depth[st.spec.ID]
 		out = append(out, TenantMetrics{
 			ID:         st.spec.ID,
 			Weight:     st.spec.Weight,

@@ -200,9 +200,9 @@ func TestQoSPerTenantQueueBound(t *testing.T) {
 }
 
 // TestQoSShardedDifferential replays one trace through the sharded plane
-// with and without the QoS layer (single default tenant): the queue layer
-// must be semantically invisible at every shard count, and the aggregated
-// tenant section must account every decision.
+// with and without a single-default-tenant policy: the policy must be
+// semantically invisible at every shard count, and the aggregated tenant
+// section must account every decision.
 func TestQoSShardedDifferential(t *testing.T) {
 	g := clusterGraph(t, 4, 4, 4, 4)
 	w := sched.Workload{Requests: 120, MeanInterarrival: 1, MeanHold: 6, MinUsers: 2, MaxUsers: 3}

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/graph"
+	"github.com/muerp/quantumnet/internal/qos"
 	"github.com/muerp/quantumnet/internal/sched"
 	"github.com/muerp/quantumnet/internal/topology"
+	"github.com/muerp/quantumnet/internal/wal"
 )
 
 // durableTrace drives a random workload — arrivals, TTL expiries, and early
@@ -228,12 +231,33 @@ func TestServerRestartRecovers(t *testing.T) {
 	if err := s2.Delete(live[0].Info.ID); err != nil {
 		t.Fatalf("Delete recovered session: %v", err)
 	}
-	info, err := s2.Submit(context.Background(), users, time.Hour)
+	// It is submitted under a tenant name no policy registers: without a
+	// policy the name still tags the session and its WAL admit record.
+	info, err := s2.SubmitTenant(context.Background(), "acme", users, time.Hour)
 	if err != nil {
 		t.Fatalf("post-recovery submit: %v", err)
 	}
 	if _, clash := s2.Session(info.ID); !clash {
 		t.Fatalf("new session %s not queryable", info.ID)
+	}
+	if info.Tenant != "acme" {
+		t.Fatalf("session tenant = %q, want the verbatim name", info.Tenant)
+	}
+	var logged *admitRecord
+	if _, err := wal.Replay(walDir(dir), 0, func(_ uint64, payload []byte) error {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		if rec.T == recAdmit && rec.Admit.Info.ID == info.ID {
+			logged = rec.Admit
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("read WAL: %v", err)
+	}
+	if logged == nil || logged.Info.Tenant != "acme" {
+		t.Fatalf("WAL admit record for %s = %+v, want tenant \"acme\"", info.ID, logged)
 	}
 	for _, ss := range live {
 		if info.ID == ss.Info.ID {
@@ -244,8 +268,15 @@ func TestServerRestartRecovers(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
+	// A daemon without a tenant policy pins none, so the next boot may add
+	// one.
+	if _, err := os.Stat(QoSPath(dir)); !os.IsNotExist(err) {
+		t.Fatalf("qos.json pinned without a tenant policy (stat err %v)", err)
+	}
+
 	// A clean shutdown snapshots everything: the next boot replays nothing.
-	s3, err := New(Config{Graph: g, DataDir: dir, MaxBatch: 1, MaxTTL: 1000 * time.Hour, Clock: newFakeClock(fc2.Now())})
+	s3, err := New(Config{Graph: g, DataDir: dir, MaxBatch: 1, MaxTTL: 1000 * time.Hour, Clock: newFakeClock(fc2.Now()),
+		QoS: &qos.Config{Tenants: []qos.TenantSpec{{ID: "acme", Weight: 2}}}})
 	if err != nil {
 		t.Fatalf("third boot: %v", err)
 	}
@@ -255,6 +286,9 @@ func TestServerRestartRecovers(t *testing.T) {
 	}
 	if s3.ActiveSessions() != s2.ActiveSessions() {
 		t.Fatalf("clean restart lost sessions: %d vs %d", s3.ActiveSessions(), s2.ActiveSessions())
+	}
+	if got, ok := s3.Session(info.ID); !ok || got.Tenant != "acme" {
+		t.Fatalf("session %s after the policy restart: %+v (live %v)", info.ID, got, ok)
 	}
 }
 

@@ -6,15 +6,18 @@
 //
 // Architecture (see DESIGN.md §6, §8):
 //
-//	HTTP/Submit → bounded queue → admission loop → scheduler → BuildGreedyTree
-//	                                                  │ (one mutex)   │
-//	                                                  └── live Ledger ←┘
-//	                                                         ▲
-//	                                          expiry wheel ──┘ (TTL / DELETE)
+//	HTTP/Submit → DWRR queue → admission loop → scheduler → BuildGreedyTree
+//	                                                │ (one mutex)   │
+//	                                                └── live Ledger ←┘
+//	                                                       ▲
+//	                                        expiry wheel ──┘ (TTL / DELETE)
 //
-// Requests are enqueued onto a bounded channel (a full queue is immediate
-// backpressure — ErrQueueFull / HTTP 429) and drained in micro-batches,
-// each handed to the configured scheduler (scheduler.go): the serial
+// Requests are enqueued onto the qos.Scheduler (qosplane.go): bounded
+// per-tenant sub-queues drained deficit-weighted round-robin. Without a
+// tenant policy it holds the lone default tenant, whose queue is a plain
+// FIFO. A full queue is immediate backpressure (ErrQueueFull / HTTP 429).
+// The admission loop drains it in micro-batches, each handed to the
+// configured scheduler (scheduler.go): the serial
 // scheduler solves every request under one lock acquisition so consecutive
 // solves share a warm ledger-epoch stretch for the incremental search
 // cache; the speculative scheduler (speculative.go, Config.Workers > 1)
@@ -69,8 +72,9 @@ type Config struct {
 	Graph *graph.Graph
 	// Params are the physical-layer constants (zero value = DefaultParams).
 	Params quantum.Params
-	// QueueSize bounds the admission queue; a full queue rejects with
-	// ErrQueueFull. Default 256.
+	// QueueSize bounds the admission queue (each tenant's sub-queue, unless
+	// its spec sets its own); a full queue rejects with ErrQueueFull.
+	// Default 256.
 	QueueSize int
 	// MaxBatch caps how many requests one micro-batch admits under a single
 	// lock acquisition. Default 16.
@@ -105,13 +109,13 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to queue-full rejections.
 	// Default 1s.
 	RetryAfter time.Duration
-	// QoS enables the multi-tenant admission layer (qosplane.go, DESIGN.md
-	// §11): the FIFO queue is replaced by per-tenant bounded sub-queues
-	// drained deficit-weighted round-robin with strict-priority tiers, and
-	// over-rate tenants are throttled by token bucket. Nil preserves the
-	// anonymous FIFO behaviour. The config is validated and normalized by
-	// New; a single default tenant with uniform weight is decision-for-
-	// decision identical to FIFO (pinned by the differential test).
+	// QoS is the tenant policy of the admission queue (qosplane.go,
+	// DESIGN.md §11): per-tenant bounded sub-queues drained deficit-weighted
+	// round-robin with strict-priority tiers, and token-bucket quotas that
+	// throttle over-rate tenants. Nil is the anonymous daemon, the policy's
+	// one-tenant case: every request joins the default tenant's queue (no
+	// quota, depth QueueSize), which is plain FIFO. The config is validated
+	// and normalized by New.
 	QoS *qos.Config
 	// Clock defaults to SystemClock; tests inject a fake.
 	Clock Clock
@@ -263,9 +267,8 @@ type pending struct {
 	result chan admitResult // buffered(1): the loop never blocks responding
 
 	// tenant is the wire tenant name ("" = default); enq and stat feed the
-	// per-tenant admission-latency and outcome accounting (qosplane.go);
-	// stat is nil without a QoS config. Deliver results via finish, never
-	// the raw channel.
+	// per-tenant admission-latency and outcome accounting (qosplane.go).
+	// Deliver results via finish, never the raw channel.
 	tenant string
 	enq    time.Time
 	stat   *tenantStat
@@ -286,19 +289,14 @@ type Server struct {
 	start time.Time
 	total int // total switch qubits in the topology
 
-	queue chan *pending
-	quit  chan struct{}
-	kick  chan struct{} // wakes the expiry wheel when the agenda changes
-	wg    sync.WaitGroup
+	quit   chan struct{}
+	kick   chan struct{} // wakes the expiry wheel when the agenda changes
+	arrive chan struct{} // wakes the admission loop after an enqueue
+	wg     sync.WaitGroup
 
-	// QoS plane (qosplane.go); all nil/unused without Config.QoS. In QoS
-	// mode queue stays nil (a nil channel is never ready, so the existing
-	// select sites fall through safely) and arrive signals the admission
-	// loop instead.
-	qcfg   *qos.Config    // normalized tenant registry
-	qsched *qos.Scheduler // per-tenant queues + DWRR dequeue
+	// The admission queue and its tenant policy (qosplane.go).
+	queue  *qos.Scheduler // per-tenant bounded sub-queues, DWRR dequeue
 	qlim   *qos.Limiter   // token-bucket quotas (shared across shards)
-	arrive chan struct{}  // sticky enqueue signal, capacity 1
 	tstats *tenantTable   // per-tenant SLO accounting
 
 	closing   atomic.Bool
@@ -355,28 +353,21 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[string]*session),
 		quit:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
+		arrive:   make(chan struct{}, 1),
 		lat:      newHistogram(),
 		idPrefix: "s-",
 		fpPool:   quantum.NewFootprintPool(cfg.Graph.NumNodes()),
 	}
-	if cfg.QoS != nil {
-		// QoS mode: per-tenant sub-queues replace the FIFO channel (which
-		// stays nil — a nil channel is never ready in a select, so the FIFO
-		// paths fall through without branching).
-		if err := cfg.QoS.Validate(); err != nil {
-			return nil, err
-		}
-		s.qcfg = cfg.QoS.Normalized()
-		s.qsched = qos.NewScheduler(s.qcfg, cfg.QueueSize)
-		s.qlim = cfg.qosLimiter
-		if s.qlim == nil {
-			s.qlim = qos.NewLimiter(s.qcfg)
-		}
-		s.arrive = make(chan struct{}, 1)
-		s.tstats = newTenantTable(s.qcfg)
-	} else {
-		s.queue = make(chan *pending, cfg.QueueSize)
+	policy, err := cfg.tenantPolicy()
+	if err != nil {
+		return nil, err
 	}
+	s.queue = qos.NewScheduler(policy, cfg.QueueSize)
+	s.qlim = cfg.qosLimiter
+	if s.qlim == nil {
+		s.qlim = qos.NewLimiter(policy)
+	}
+	s.tstats = newTenantTable(policy)
 	if cfg.SolveCacheSize > 0 {
 		s.cache = newSolveCache(cfg.SolveCacheSize, cfg.Graph.NumNodes())
 	}
@@ -386,7 +377,6 @@ func New(cfg Config) (*Server, error) {
 	for _, id := range cfg.Graph.Switches() {
 		s.total += cfg.Graph.Node(id).Qubits
 	}
-	var err error
 	if s.sched, err = newScheduler(s, cfg); err != nil {
 		return nil, err
 	}
@@ -412,9 +402,9 @@ func (s *Server) Graph() *graph.Graph { return s.cfg.Graph }
 
 // Submit enqueues one session request and blocks until the admission loop
 // decides or ctx ends; it is the programmatic face of POST /sessions.
-// ttl <= 0 means the server default; TTLs are capped at Config.MaxTTL and,
-// with a QoS config, at the tenant's own max_ttl_ms (clamped requests are
-// counted in the tenant's ttl_clamped metric).
+// ttl <= 0 means the server default; TTLs are capped at Config.MaxTTL and
+// at the tenant's own max_ttl_ms (clamped requests are counted in the
+// tenant's ttl_clamped metric).
 // Outcomes: nil error = admitted (capacity held until expiry or Delete);
 // core.ErrInfeasible = rejected under residual capacity; ErrQueueFull =
 // backpressure, retry later; ErrInvalidRequest = malformed user set;
@@ -426,12 +416,13 @@ func (s *Server) Submit(ctx context.Context, users []graph.NodeID, ttl time.Dura
 }
 
 // SubmitTenant is Submit with an explicit tenant name (the POST /sessions
-// "tenant" field). The empty name is the default tenant; with a QoS config
-// (Config.QoS) the request joins its tenant's sub-queue after passing the
-// tenant's token-bucket quota — an over-rate tenant gets a *qos.
-// ThrottleError (errors.Is qos.ErrThrottled, HTTP 429 + Retry-After), and a
-// full tenant sub-queue gets ErrQueueFull without touching other tenants'
-// capacity. Unknown tenant names are served under the default class.
+// "tenant" field). The empty name is the default tenant. The request joins
+// its tenant's sub-queue after passing the tenant's token-bucket quota — an
+// over-rate tenant gets a *qos.ThrottleError (errors.Is qos.ErrThrottled,
+// HTTP 429 + Retry-After), and a full tenant sub-queue gets ErrQueueFull
+// without touching other tenants' capacity. Unknown tenant names are served
+// under the default class; without a tenant policy they still tag the
+// session verbatim.
 func (s *Server) SubmitTenant(ctx context.Context, tenant string, users []graph.NodeID, ttl time.Duration) (SessionInfo, error) {
 	s.ctrs.requests.Add(1)
 	if s.closing.Load() {
@@ -462,31 +453,18 @@ func (s *Server) SubmitTenant(ctx context.Context, tenant string, users []graph.
 		result: make(chan admitResult, 1),
 		tenant: tenant, enq: time.Now(), stat: stat,
 	}
-	if s.qsched != nil {
-		// Quota first: a throttled request must not consume queue space.
-		if err := s.qlim.Allow(qosName(tenant), s.clock.Now()); err != nil {
-			s.ctrs.throttled.Add(1)
-			if stat != nil {
-				stat.throttled.Add(1)
-			}
-			return SessionInfo{}, err
-		}
-		if err := s.qsched.Enqueue(qosName(tenant), p); err != nil {
-			s.ctrs.queueFull.Add(1)
-			if stat != nil {
-				stat.queueFull.Add(1)
-			}
-			return SessionInfo{}, ErrQueueFull
-		}
-		s.wakeAdmission()
-	} else {
-		select {
-		case s.queue <- p:
-		default:
-			s.ctrs.queueFull.Add(1)
-			return SessionInfo{}, ErrQueueFull
-		}
+	// Quota first: a throttled request must not consume queue space.
+	if err := s.qlim.Allow(stat.spec.ID, s.clock.Now()); err != nil {
+		s.ctrs.throttled.Add(1)
+		stat.throttled.Add(1)
+		return SessionInfo{}, err
 	}
+	if err := s.queue.Enqueue(stat.spec.ID, p); err != nil {
+		s.ctrs.queueFull.Add(1)
+		stat.queueFull.Add(1)
+		return SessionInfo{}, ErrQueueFull
+	}
+	s.wakeAdmission()
 	select {
 	case r := <-p.result:
 		return r.info, r.err
@@ -584,77 +562,59 @@ func (s *Server) Close() error {
 		close(s.quit)
 		s.wg.Wait()
 		// A racing Submit may have slipped into the queue after the drain
-		// finished; bounce those rather than leaving callers waiting. (In QoS
-		// mode queue is nil — never ready — so the select falls straight to
-		// the default branch, where the QoS scheduler's leftovers bounce.)
-		for {
-			select {
-			case p := <-s.queue:
-				p.finish(admitResult{err: ErrClosed})
-			default:
-				if s.qsched != nil {
-					for {
-						item, _, ok := s.qsched.Dequeue()
-						if !ok {
-							break
-						}
-						item.(*pending).finish(admitResult{err: ErrClosed})
-					}
-				}
-				// Final snapshot + WAL close: a clean restart replays nothing.
-				closeErr = s.closeDurability()
-				return
-			}
+		// finished; bounce those rather than leaving callers waiting.
+		for p, ok := s.dequeue(); ok; p, ok = s.dequeue() {
+			p.finish(admitResult{err: ErrClosed})
 		}
+		// Final snapshot + WAL close: a clean restart replays nothing.
+		closeErr = s.closeDurability()
 	})
 	return closeErr
 }
 
-// admissionLoop is the single consumer of the queue: it drains requests in
-// micro-batches and decides them against the shared ledger. With a QoS
-// config the body is the QoS dequeue loop (qosplane.go) over the same
-// scheduler seam.
+// admissionLoop is the single consumer of the queue: every enqueue signal
+// drains it in micro-batches, and shutdown drains it one last time.
 func (s *Server) admissionLoop() {
 	defer s.wg.Done()
-	if s.qsched != nil {
-		s.qosAdmissionLoop()
-		return
-	}
 	for {
 		select {
 		case <-s.quit:
 			s.drain()
 			return
-		case p := <-s.queue:
-			s.sched.decide(s.fillBatch(p))
+		case <-s.arrive:
+			s.drain()
 		}
 	}
 }
 
-// fillBatch grows a batch around its first request: it keeps pulling from
-// the queue until the batch is full, MaxWait elapses, or shutdown starts.
+// drain decides everything queued, one micro-batch at a time, in DWRR
+// order. At shutdown the closed quit channel cuts every batch-fill wait
+// short, so the final drain decides the backlog without waiting for more.
+func (s *Server) drain() {
+	for p, ok := s.dequeue(); ok; p, ok = s.dequeue() {
+		s.sched.decide(s.fillBatch(p))
+	}
+}
+
+// fillBatch grows a batch around its first request: it keeps dequeuing until
+// the batch is full, MaxWait has passed since the first request was taken,
+// or shutdown starts. With MaxWait 0 it takes only what is already queued.
 func (s *Server) fillBatch(first *pending) []*pending {
 	batch := append(make([]*pending, 0, s.cfg.MaxBatch), first)
-	if len(batch) >= s.cfg.MaxBatch {
-		return batch
-	}
 	var timeout <-chan time.Time
-	if s.cfg.MaxWait > 0 {
+	if s.cfg.MaxWait > 0 && len(batch) < s.cfg.MaxBatch {
 		timeout = s.clock.After(s.cfg.MaxWait)
 	}
 	for len(batch) < s.cfg.MaxBatch {
-		if timeout == nil {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-			default:
-				return batch
-			}
+		if p, ok := s.dequeue(); ok {
+			batch = append(batch, p)
 			continue
 		}
+		if timeout == nil {
+			return batch
+		}
 		select {
-		case p := <-s.queue:
-			batch = append(batch, p)
+		case <-s.arrive:
 		case <-timeout:
 			return batch
 		case <-s.quit:
@@ -662,29 +622,6 @@ func (s *Server) fillBatch(first *pending) []*pending {
 		}
 	}
 	return batch
-}
-
-// drain decides everything still queued at shutdown, one final batch at a
-// time, without waiting for more arrivals.
-func (s *Server) drain() {
-	for {
-		select {
-		case p := <-s.queue:
-			batch := append(make([]*pending, 0, s.cfg.MaxBatch), p)
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case q := <-s.queue:
-					batch = append(batch, q)
-				default:
-					goto decide
-				}
-			}
-		decide:
-			s.sched.decide(batch)
-		default:
-			return
-		}
-	}
 }
 
 // expireLocked releases every session whose expiry is at or before now —
@@ -799,12 +736,9 @@ func (s *Server) Metrics() Metrics {
 	if batches > 0 {
 		bm.MeanSize = float64(bm.Requests) / float64(batches)
 	}
-	qm := QueueMetrics{Depth: len(s.queue), Capacity: cap(s.queue)}
-	if s.qsched != nil {
-		qm = QueueMetrics{Depth: s.qsched.Len()}
-		for _, q := range s.qsched.Queues() {
-			qm.Capacity += q.Capacity
-		}
+	qm := QueueMetrics{Depth: s.queue.Len()}
+	for _, q := range s.queue.Queues() {
+		qm.Capacity += q.Capacity
 	}
 	return Metrics{
 		UptimeMs: float64(s.clock.Now().Sub(s.start)) / 1e6,

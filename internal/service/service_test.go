@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +17,7 @@ import (
 
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/graph"
+	"github.com/muerp/quantumnet/internal/qos"
 	"github.com/muerp/quantumnet/internal/quantum"
 )
 
@@ -312,13 +314,13 @@ func (s *Server) trySubmitNoWait() (bool, error) {
 		return false, err
 	}
 	p := &pending{ctx: context.Background(), prob: prob, users: prob.Users,
-		ttl: 50 * time.Millisecond, result: make(chan admitResult, 1)}
-	select {
-	case s.queue <- p:
-		return true, nil
-	default:
+		ttl: 50 * time.Millisecond, result: make(chan admitResult, 1),
+		enq: time.Now(), stat: s.tstats.get("")}
+	if err := s.queue.Enqueue(qos.DefaultTenant, p); err != nil {
 		return false, ErrQueueFull
 	}
+	s.wakeAdmission()
+	return true, nil
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -336,8 +338,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	var raw map[string]json.RawMessage
 	var m Metrics
-	decodeInto(t, resp, &m)
+	if err != nil || json.Unmarshal(body, &raw) != nil || json.Unmarshal(body, &m) != nil {
+		t.Fatalf("decode /metrics (read err %v): %s", err, body)
+	}
+	// Without a tenant policy the daemon keeps its anonymous surface: no
+	// tenants section, and the queue reports the configured bound.
+	if _, ok := raw["tenants"]; ok {
+		t.Fatalf("/metrics has a tenants section without a tenant policy: %s", raw["tenants"])
+	}
+	if m.Queue.Capacity != s.cfg.QueueSize {
+		t.Fatalf("queue.capacity = %d, want QueueSize %d", m.Queue.Capacity, s.cfg.QueueSize)
+	}
 	if m.Requests.Total != 6 {
 		t.Fatalf("requests.total = %d, want 6", m.Requests.Total)
 	}
@@ -360,6 +375,31 @@ func TestMetricsEndpoint(t *testing.T) {
 	// must render the same block qsched prints.
 	if !strings.Contains(m.Admission.String(), "acceptance ratio:") {
 		t.Fatalf("summary string missing shared format:\n%s", m.Admission.String())
+	}
+
+	// An unregistered tenant name tags the session verbatim, while the
+	// request is queued and counted under the default class.
+	def := s.tstats.get("")
+	before := def.accepted.Load()
+	var info SessionInfo
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		info, err = s.SubmitTenant(context.Background(), "acme", []graph.NodeID{0, 1}, time.Second)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, core.ErrInfeasible) || time.Now().After(deadline) {
+			t.Fatalf("SubmitTenant(acme): %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got, ok := s.Session(info.ID); info.Tenant != "acme" || !ok || got.Tenant != "acme" {
+		t.Fatalf("session tenant = %q (live %q), want the verbatim name", info.Tenant, got.Tenant)
+	}
+	if def.accepted.Load() != before+1 {
+		t.Fatalf("default class accepted %d, want %d", def.accepted.Load(), before+1)
+	}
+	if _, ok := s.tstats.stats["acme"]; ok {
+		t.Fatal("an unregistered tenant got a class of its own")
 	}
 }
 

@@ -178,34 +178,24 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 	if err := base.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if base.QoS != nil {
-		// One limiter is shared by every shard so tenant quotas stay global
-		// rather than multiplying by the shard count; each shard keeps its
-		// own DWRR queues (requests are already partitioned by region).
-		if err := base.QoS.Validate(); err != nil {
-			return nil, err
-		}
-		base.qosLimiter = qos.NewLimiter(base.QoS.Normalized())
+	// One limiter is shared by every shard so tenant quotas stay global
+	// rather than multiplying by the shard count; each shard keeps its own
+	// DWRR queues (requests are already partitioned by region).
+	policy, err := base.tenantPolicy()
+	if err != nil {
+		return nil, err
 	}
+	base.qosLimiter = qos.NewLimiter(policy)
 	part, err := topology.PartitionRegions(cfg.Graph, cfg.Shards, cfg.PartitionSeed)
 	if err != nil {
 		return nil, err
 	}
 	if base.DataDir != "" {
-		if err := pinEnvironment(base.DataDir, cfg.Graph, base.Params); err != nil {
+		if err := pinEnvironment(base.DataDir, cfg.Graph, base.Params, base.QoS); err != nil {
 			return nil, err
 		}
 		if err := pinPartition(base.DataDir, part); err != nil {
 			return nil, err
-		}
-		if base.QoS != nil {
-			b, merr := json.Marshal(base.QoS.Normalized())
-			if merr != nil {
-				return nil, merr
-			}
-			if err := pinFile(QoSPath(base.DataDir), b, "qos config"); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -307,23 +297,17 @@ func (s *ShardedServer) submitCross(ctx context.Context, tenant string, users []
 	pr.ctrs.requests.Add(1)
 	wire := pr.wireTenant(tenant)
 	stat := pr.tstats.get(wire)
-	if pr.qsched != nil {
-		// Tenant quotas apply to cross-region traffic too (the limiter is
-		// shared, so tokens spent here and on any shard draw on one bucket).
-		// The DWRR queues do not: cross-region requests are serialized by
-		// crossMu rather than queued behind the admission loop.
-		if qerr := pr.qlim.Allow(qosName(wire), s.clock.Now()); qerr != nil {
-			pr.ctrs.throttled.Add(1)
-			if stat != nil {
-				stat.throttled.Add(1)
-			}
-			return SessionInfo{}, qerr
-		}
+	// Tenant quotas apply to cross-region traffic too (the limiter is
+	// shared, so tokens spent here and on any shard draw on one bucket). The
+	// DWRR queues do not: cross-region requests are serialized by crossMu
+	// rather than queued behind the admission loop.
+	if qerr := pr.qlim.Allow(stat.spec.ID, s.clock.Now()); qerr != nil {
+		pr.ctrs.throttled.Add(1)
+		stat.throttled.Add(1)
+		return SessionInfo{}, qerr
 	}
-	if stat != nil {
-		t0 := time.Now()
-		defer func() { stat.note(err, time.Since(t0)) }()
-	}
+	t0 := time.Now()
+	defer func() { stat.note(err, time.Since(t0)) }()
 	prob, err := core.NewProblem(s.g, users, s.base.Params)
 	if err != nil {
 		pr.ctrs.invalid.Add(1)
@@ -1041,77 +1025,24 @@ func (s *ShardedServer) Metrics() ShardedMetrics {
 // Handler returns the sharded daemon's HTTP API — Server.Handler's routes
 // plus GET /partition (the pinned region partition).
 func (s *ShardedServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sessions", s.handleCreate)
-	mux.HandleFunc("GET /sessions/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /sessions/{id}", s.handleDelete)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /topology", s.handleTopology)
-	mux.HandleFunc("GET /partition", s.handlePartition)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux := newMux(s)
+	mux.HandleFunc("GET /partition", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.part)
+	})
 	return mux
 }
 
-func (s *ShardedServer) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req SessionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode body: %v", err))
-		return
-	}
-	if req.TTLMs < 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "ttl_ms must be >= 0")
-		return
-	}
-	info, err := s.SubmitTenant(r.Context(), req.Tenant, req.Users, time.Duration(req.TTLMs)*time.Millisecond)
-	if err != nil {
-		writeSubmitError(w, s.base.RetryAfter, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
-}
+func (s *ShardedServer) retryAfter() time.Duration { return s.base.RetryAfter }
+func (s *ShardedServer) metricsDoc() any           { return s.Metrics() }
 
-func (s *ShardedServer) handleGet(w http.ResponseWriter, r *http.Request) {
-	info, ok := s.Session(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such session")
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *ShardedServer) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if err := s.Delete(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *ShardedServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-func (s *ShardedServer) handleTopology(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.g.WriteJSON(w)
-}
-
-func (s *ShardedServer) handlePartition(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.part)
-}
-
-func (s *ShardedServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *ShardedServer) healthErr() error {
 	if s.closing.Load() {
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", "")
-		return
+		return ErrClosed
 	}
 	for _, sh := range s.shards {
-		if sh.dur != nil && sh.dur.failed.Load() {
-			writeError(w, http.StatusServiceUnavailable, "durability_failed", ErrDurability.Error())
-			return
+		if err := sh.healthErr(); err != nil {
+			return err
 		}
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
+	return nil
 }

@@ -331,7 +331,7 @@ func TestShardedCrossRegion2PC(t *testing.T) {
 
 	params := quantum.DefaultParams()
 	for r, st := range states {
-		if err := VerifyShardState(s.RegionGraphOf(r), params, st); err != nil {
+		if err := VerifyState(s.RegionGraphOf(r), params, st); err != nil {
 			t.Fatalf("shard %d state: %v", r, err)
 		}
 	}
@@ -584,7 +584,7 @@ func TestShardedRecoveryMatchesLiveState(t *testing.T) {
 		if got := dumpJSON(t, rec.State); string(got) != string(want[r]) {
 			t.Fatalf("shard %d: recovered state differs from live dump\nlive: %s\nrec:  %s", r, want[r], got)
 		}
-		if err := VerifyShardState(rg, params, rec.State); err != nil {
+		if err := VerifyState(rg, params, rec.State); err != nil {
 			t.Fatalf("shard %d: recovered state does not verify: %v", r, err)
 		}
 		// Recovery is read-only and deterministic: run it again.

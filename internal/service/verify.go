@@ -34,49 +34,23 @@ func parseSessionSeq(id string) (uint64, error) {
 //   - session IDs are below the state's ID counter.
 //
 // It is the one consistency oracle shared by cmd/qrecover (auditing a data
-// directory before a restart) and the speculative scheduler's concurrency
-// tests (auditing a live server's StateDump after parallel admissions). For
-// a sharded server's composed state (ComposeShardStates) the counter check
-// runs against the maximum per-shard counter.
+// directory before a restart) and the concurrency tests (auditing a live
+// server's StateDump after parallel admissions). It checks a standalone
+// server's state, a sharded server's composed state (ComposeShardStates,
+// whose counter is the maximum per-shard counter), and one shard's state
+// against its region graph (RegionGraph). In a shard's state, cross-region
+// sessions (those carrying Shards) hold only this shard's load slice, which
+// re-reserves via ReserveLoad, and their secondary copies skip the counter
+// check because they draw their IDs from the home shard's counter.
 func VerifyState(g *graph.Graph, params quantum.Params, st State) error {
 	check := quantum.NewLedger(g)
-	for _, ss := range st.Sessions {
-		if err := quantum.ValidateTree(g, ss.Info.Users, ss.Tree, params); err != nil {
-			return fmt.Errorf("session %s: %w", ss.Info.ID, err)
-		}
-		for _, c := range ss.Tree.Channels {
-			if err := check.Reserve(c.Nodes); err != nil {
-				return fmt.Errorf("session %s: re-reserve: %w", ss.Info.ID, err)
-			}
-		}
-		n, err := parseSessionSeq(ss.Info.ID)
-		if err != nil || n > st.NextID {
-			return fmt.Errorf("session %s: ID outside recovered counter %d", ss.Info.ID, st.NextID)
-		}
-	}
-	for _, id := range g.Switches() {
-		if got, want := st.Ledger.Free[id], check.Free(id); got != want {
-			return fmt.Errorf("switch %d: recovered %d free qubits, re-reserving every session leaves %d", id, got, want)
-		}
-	}
-	return nil
-}
-
-// VerifyShardState is VerifyState for one shard of a sharded server, checked
-// against the shard's region graph (RegionGraph). Single-region sessions
-// carry whole trees and verify exactly as in VerifyState; cross-region
-// sessions carry only this shard's load slice, which re-reserves via
-// ReserveLoad. The ID-counter check applies to sessions homed on this shard
-// (secondaries draw their IDs from another shard's counter).
-func VerifyShardState(rg *graph.Graph, params quantum.Params, st State) error {
-	check := quantum.NewLedger(rg)
 	for _, ss := range st.Sessions {
 		if len(ss.Shards) > 0 {
 			if err := check.ReserveLoad(ss.Load); err != nil {
 				return fmt.Errorf("session %s: re-reserve load: %w", ss.Info.ID, err)
 			}
 		} else {
-			if err := quantum.ValidateTree(rg, ss.Info.Users, ss.Tree, params); err != nil {
+			if err := quantum.ValidateTree(g, ss.Info.Users, ss.Tree, params); err != nil {
 				return fmt.Errorf("session %s: %w", ss.Info.ID, err)
 			}
 			for _, c := range ss.Tree.Channels {
@@ -93,7 +67,7 @@ func VerifyShardState(rg *graph.Graph, params quantum.Params, st State) error {
 			return fmt.Errorf("session %s: ID outside recovered counter %d", ss.Info.ID, st.NextID)
 		}
 	}
-	for _, id := range rg.Switches() {
+	for _, id := range g.Switches() {
 		if got, want := st.Ledger.Free[id], check.Free(id); got != want {
 			return fmt.Errorf("switch %d: recovered %d free qubits, re-reserving every session leaves %d", id, got, want)
 		}
