@@ -59,13 +59,12 @@ bench:
 		$(BENCH_TMP)/kernel.txt $(BENCH_TMP)/engine.txt $(BENCH_TMP)/figs.txt
 
 # bench-service refreshes the "footprint" run: the end-to-end admission
-# loop across batch sizes, durability, the speculative scheduler's worker
-# sweep (big-workers{1,2,4}), the solve-cache hot-repeats pair, and the
-# sharded admission plane (sharded-shards{1,2,4}). The workersN/workers1
-# ratio is the speculation speedup and shardsN/shards1 the sharding
-# speedup; both need GOMAXPROCS >= N to show — on fewer cores the sweeps
-# record coordination overhead instead (see EXPERIMENTS.md). Recorded with
-# -benchmem so the alloc regression gate arms against this run.
+# loop across batch sizes and durability, the solve-bound big-workers1
+# variant, and the sharded admission plane (sharded-shards{1,2,4}). The
+# shardsN/shards1 ratio is the sharding speedup; it needs GOMAXPROCS >= N
+# to show — on fewer cores the sweep records coordination overhead instead
+# (see EXPERIMENTS.md). Recorded with -benchmem so the alloc regression
+# gate arms against this run.
 bench-service:
 	mkdir -p $(BENCH_TMP)
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmissionLoop|BenchmarkShardedAdmission' \

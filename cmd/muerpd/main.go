@@ -15,8 +15,6 @@
 //	-queue       admission queue bound          (default 256)
 //	-batch       max admission batch size       (default 16)
 //	-batch-wait  max batch fill wait            (default 2ms)
-//	-workers     parallel admission solvers     (default GOMAXPROCS; >1 runs
-//	             the speculative scheduler, DESIGN.md §8)
 //	-ttl         default session TTL            (default 30s)
 //	-max-ttl     TTL cap                        (default 10m)
 //	-shards      admission shards; >1 partitions the topology into regions,
@@ -28,8 +26,6 @@
 //	-data-dir    durable state directory (WAL + snapshots); crash recovery
 //	             restores every live session on restart (empty = in-memory)
 //	-snapshot-every / -snapshot-interval  snapshot cadence
-//	-solve-cache solve-cache entries per admission plane (0 = default 256,
-//	             negative disables caching)
 //	-qos-config  tenant QoS policy JSON ({"tenants":[...]}) for the DWRR
 //	             admission queue (DESIGN.md §11). With -data-dir the
 //	             effective policy is pinned in the data directory and a
@@ -63,7 +59,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/ on the DefaultServeMux for the -pprof side listener
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -101,7 +96,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		queueSize = fs.Int("queue", 256, "admission queue bound")
 		batch     = fs.Int("batch", 16, "max admission batch size")
 		batchWait = fs.Duration("batch-wait", 2*time.Millisecond, "max batch fill wait")
-		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel admission solvers (>1 enables speculative admission)")
 		ttl       = fs.Duration("ttl", 30*time.Second, "default session TTL")
 		maxTTL    = fs.Duration("max-ttl", 10*time.Minute, "session TTL cap")
 		shards    = fs.Int("shards", 1, "admission shards (>1 partitions the topology into regions)")
@@ -110,7 +104,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		dataDir   = fs.String("data-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")
 		snapEvery = fs.Int("snapshot-every", 1024, "snapshot after this many WAL records")
 		snapInt   = fs.Duration("snapshot-interval", 30*time.Second, "snapshot at least this often")
-		cacheSize = fs.Int("solve-cache", 0, "solve-cache entries per admission plane (0 = default, negative disables)")
 		qosFile   = fs.String("qos-config", "", "tenant QoS policy JSON (empty = single default tenant)")
 		pprofAddr = fs.String("pprof", "", "expose net/http/pprof on this side address (empty = off)")
 		version   = fs.Bool("version", false, "print build info and exit")
@@ -143,13 +136,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		QueueSize:        *queueSize,
 		MaxBatch:         *batch,
 		MaxWait:          *batchWait,
-		Workers:          *workers,
 		DefaultTTL:       *ttl,
 		MaxTTL:           *maxTTL,
 		DataDir:          *dataDir,
 		SnapshotEvery:    *snapEvery,
 		SnapshotInterval: *snapInt,
-		SolveCacheSize:   *cacheSize,
 		QoS:              qcfg,
 	}
 	// One daemon, two shapes: the single admission plane, or -shards region
@@ -222,35 +213,28 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// One structured line with the effective configuration — everything the
 	// daemon actually runs with, after defaulting. Scripts and log scrapers
 	// match the "muerpd config " prefix and parse the JSON tail.
-	scheduler := service.SchedulerSerial
-	if *workers > 1 {
-		scheduler = service.SchedulerSpeculative
-	}
 	tenants := 0
 	if qcfg != nil {
 		tenants = len(qcfg.Normalized().Tenants)
 	}
 	eff, err := json.Marshal(struct {
-		Addr       string        `json:"addr"`
-		Scheduler  string        `json:"scheduler"`
-		Workers    int           `json:"workers"`
-		Shards     int           `json:"shards"`
-		Queue      int           `json:"queue"`
-		Batch      int           `json:"batch"`
-		BatchWait  time.Duration `json:"batch_wait_ns"`
-		TTL        time.Duration `json:"ttl_ns"`
-		MaxTTL     time.Duration `json:"max_ttl_ns"`
-		DataDir    string        `json:"data_dir,omitempty"`
-		SnapEvery  int           `json:"snapshot_every,omitempty"`
-		SolveCache int           `json:"solve_cache"`
-		QoSConfig  string        `json:"qos_config,omitempty"`
-		Tenants    int           `json:"tenants,omitempty"`
-		Pprof      bool          `json:"pprof,omitempty"`
+		Addr      string        `json:"addr"`
+		Shards    int           `json:"shards"`
+		Queue     int           `json:"queue"`
+		Batch     int           `json:"batch"`
+		BatchWait time.Duration `json:"batch_wait_ns"`
+		TTL       time.Duration `json:"ttl_ns"`
+		MaxTTL    time.Duration `json:"max_ttl_ns"`
+		DataDir   string        `json:"data_dir,omitempty"`
+		SnapEvery int           `json:"snapshot_every,omitempty"`
+		QoSConfig string        `json:"qos_config,omitempty"`
+		Tenants   int           `json:"tenants,omitempty"`
+		Pprof     bool          `json:"pprof,omitempty"`
 	}{
-		Addr: bound, Scheduler: scheduler, Workers: *workers, Shards: *shards,
+		Addr: bound, Shards: *shards,
 		Queue: *queueSize, Batch: *batch, BatchWait: *batchWait,
 		TTL: *ttl, MaxTTL: *maxTTL, DataDir: *dataDir, SnapEvery: *snapEvery,
-		SolveCache: *cacheSize, QoSConfig: *qosFile, Tenants: tenants,
+		QoSConfig: *qosFile, Tenants: tenants,
 		Pprof: *pprofAddr != "",
 	})
 	if err != nil {
@@ -259,8 +243,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "muerpd config %s\n", eff)
-	fmt.Fprintf(out, "muerpd listening on http://%s (batch<=%d wait=%v queue=%d ttl=%v workers=%d shards=%d tenants=%d)\n",
-		bound, *batch, *batchWait, *queueSize, *ttl, *workers, *shards, tenants)
+	fmt.Fprintf(out, "muerpd listening on http://%s (batch<=%d wait=%v queue=%d ttl=%v shards=%d tenants=%d)\n",
+		bound, *batch, *batchWait, *queueSize, *ttl, *shards, tenants)
 
 	srv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)

@@ -30,6 +30,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-users", "1"},
 		{"-q", "7"},
 		{"-addr", "127.0.0.1:0", "-in", "/does/not/exist.json"},
+		{"-workers", "4"},      // removed: batches are decided serially
+		{"-solve-cache", "64"}, // removed with the solve cache
 	} {
 		var buf strings.Builder
 		if err := run(context.Background(), args, &buf); err == nil {
@@ -201,15 +203,26 @@ func TestQoSConfigStartup(t *testing.T) {
 	}
 	var eff struct {
 		Addr      string `json:"addr"`
-		Scheduler string `json:"scheduler"`
+		Batch     int    `json:"batch"`
 		Tenants   int    `json:"tenants"`
 		QoSConfig string `json:"qos_config"`
 	}
 	if err := json.Unmarshal([]byte(cfgLine), &eff); err != nil {
 		t.Fatalf("config line is not JSON: %v\n%s", err, cfgLine)
 	}
-	if eff.Addr != addr || eff.Tenants != 3 || eff.QoSConfig != qosFile || eff.Scheduler == "" {
+	if eff.Addr != addr || eff.Tenants != 3 || eff.QoSConfig != qosFile || eff.Batch != 16 {
 		t.Fatalf("config line fields: %+v", eff)
+	}
+	// Every batch is decided serially: the line names no scheduler, worker
+	// count or solve cache.
+	var fields map[string]any
+	if err := json.Unmarshal([]byte(cfgLine), &fields); err != nil {
+		t.Fatalf("config line is not a JSON object: %v", err)
+	}
+	for _, gone := range []string{"scheduler", "workers", "solve_cache"} {
+		if _, ok := fields[gone]; ok {
+			t.Fatalf("config line still carries %q: %s", gone, cfgLine)
+		}
 	}
 
 	topoResp, err := http.Get(base + "/topology")

@@ -572,7 +572,7 @@ func fetchPartition(ctx context.Context, client *http.Client, base string) (*top
 }
 
 // printServerMetrics surfaces the daemon-side view after the run: the
-// shared admission summary plus batching and cache effectiveness.
+// shared admission summary plus batching, router and tenant counters.
 func printServerMetrics(ctx context.Context, client *http.Client, base string, out io.Writer) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
@@ -601,30 +601,6 @@ func printServerMetrics(ctx context.Context, client *http.Client, base string, o
 			Aborts          int64   `json:"aborts"`
 			GlobalFallbacks int64   `json:"global_fallbacks"`
 		} `json:"router"`
-		Speculation *struct {
-			Workers          int     `json:"workers"`
-			Solves           int64   `json:"solves"`
-			Commits          int64   `json:"commits"`
-			Conflicts        int64   `json:"conflicts"`
-			Resolves         int64   `json:"resolves"`
-			Fallbacks        int64   `json:"fallbacks"`
-			WastedSolveRatio float64 `json:"wasted_solve_ratio"`
-			MaxParallel      int64   `json:"max_parallel"`
-		} `json:"speculation"`
-		SolveCache *struct {
-			Capacity  int     `json:"capacity"`
-			Size      int     `json:"size"`
-			ExactHits int64   `json:"exact_hits"`
-			EpochHits int64   `json:"epoch_hits"`
-			Misses    int64   `json:"misses"`
-			Evictions int64   `json:"evictions"`
-			HitRate   float64 `json:"hit_rate"`
-		} `json:"solve_cache"`
-		FootprintPool *struct {
-			Gets      int64   `json:"gets"`
-			Allocs    int64   `json:"allocs"`
-			ReuseRate float64 `json:"reuse_rate"`
-		} `json:"footprint_pool"`
 		Tenants []struct {
 			ID        string `json:"id"`
 			Weight    int    `json:"weight"`
@@ -648,19 +624,6 @@ func printServerMetrics(ctx context.Context, client *http.Client, base string, o
 		fmt.Fprintf(out, "router:         %d shards, %d single-region, %d cross-region (%.1f%%), 2pc prepares %d conflicts %d retries %d aborts %d fallbacks %d\n",
 			r.Shards, r.SingleRegion, r.CrossRegion, r.CrossRegionRate*100,
 			r.Prepares, r.Conflicts, r.Retries, r.Aborts, r.GlobalFallbacks)
-	}
-	if sp := m.Speculation; sp != nil {
-		fmt.Fprintf(out, "speculation:    workers %d, solves %d, commits %d, conflicts %d (resolved %d, fallback %d), wasted %.1f%%, max parallel %d\n",
-			sp.Workers, sp.Solves, sp.Commits, sp.Conflicts, sp.Resolves, sp.Fallbacks,
-			sp.WastedSolveRatio*100, sp.MaxParallel)
-	}
-	if sc := m.SolveCache; sc != nil {
-		fmt.Fprintf(out, "solve cache:    %d/%d entries, %d exact + %d epoch hits, %d misses, %d evictions (hit rate %.1f%%)\n",
-			sc.Size, sc.Capacity, sc.ExactHits, sc.EpochHits, sc.Misses, sc.Evictions, sc.HitRate*100)
-	}
-	if fp := m.FootprintPool; fp != nil && fp.Gets > 0 {
-		fmt.Fprintf(out, "footprint pool: %d gets, %d allocs (%.1f%% reused)\n",
-			fp.Gets, fp.Allocs, fp.ReuseRate*100)
 	}
 	if len(m.Tenants) > 0 {
 		fmt.Fprintf(out, "server tenants:\n")

@@ -261,8 +261,10 @@ func TestAffinityForcesSingleRegion(t *testing.T) {
 	if strings.Contains(out, "cross ") {
 		t.Errorf("affinity 1 still produced cross-region sessions:\n%s", out)
 	}
-	if !strings.Contains(out, "solve cache:") {
-		t.Errorf("solve cache counters not printed:\n%s", out)
+	for _, gone := range []string{"speculation:", "solve cache:", "footprint pool:"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("removed %q line still printed:\n%s", gone, out)
+		}
 	}
 }
 

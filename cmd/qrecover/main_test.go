@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +48,16 @@ func TestRecoverToolVerifiesLiveDirectory(t *testing.T) {
 	}
 	if err := s.Delete(last); err != nil {
 		t.Fatalf("delete: %v", err)
+	}
+
+	// Builds with a solve cache left a warm set beside the snapshots;
+	// the tool must ignore it.
+	warm := []byte(`{"sets":[[0,1],[0,1,2]]}`)
+	if err := os.MkdirAll(filepath.Join(dir, "snap"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snap", "cachewarm.json"), warm, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// The WAL holds every acknowledged record (Submit waits for the fsync),

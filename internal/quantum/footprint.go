@@ -3,8 +3,6 @@ package quantum
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/muerp/quantumnet/internal/graph"
 )
@@ -14,13 +12,12 @@ import (
 // mold: a dense key list carries the touched switches in insertion order, a
 // per-graph position array gives O(1) membership and lookup, and Reset
 // clears only what the last use touched. One footprint is sized to one
-// graph (NumNodes slots) and is reused across admissions via FootprintPool;
-// the admission hot path fills it from a tree, probes it against closure
-// logs and budgets, and resets it — zero allocations at steady state, where
-// the map form hashed and allocated per request.
+// graph (NumNodes slots) and is reused across admissions: the cross-region
+// coordinator fills it from a tree, probes it against closure logs, and
+// resets it — zero allocations at steady state, where the map form hashed
+// and allocated per request.
 //
-// A Footprint is not safe for concurrent use; pool-Get a fresh one per
-// goroutine.
+// A Footprint is not safe for concurrent use.
 type Footprint struct {
 	keys []graph.NodeID // touched switches, insertion order
 	load []int          // demands, parallel to keys
@@ -28,14 +25,9 @@ type Footprint struct {
 }
 
 // NewFootprint returns an empty footprint for a graph with numNodes nodes.
-// Prefer FootprintPool on hot paths.
 func NewFootprint(numNodes int) *Footprint {
 	return &Footprint{pos: make([]int32, numNodes)}
 }
-
-// Cap returns the number of node slots (the graph size the footprint was
-// built for).
-func (f *Footprint) Cap() int { return len(f.pos) }
 
 // Len returns the number of switches carrying load.
 func (f *Footprint) Len() int { return len(f.keys) }
@@ -207,122 +199,4 @@ func (f *Footprint) check(id graph.NodeID) {
 	if id < 0 || int(id) >= len(f.pos) {
 		panic(fmt.Sprintf("quantum: footprint: unknown node %d", id))
 	}
-}
-
-// FootprintPool recycles footprints for one graph size, counting gets and
-// fresh allocations so /metrics can report pool effectiveness (gets - news
-// is the number of reuses). Put resets the footprint; a pooled footprint is
-// always empty on Get.
-type FootprintPool struct {
-	n    int
-	pool sync.Pool
-	gets atomic.Int64
-	news atomic.Int64
-}
-
-// NewFootprintPool returns a pool of footprints sized for numNodes nodes.
-func NewFootprintPool(numNodes int) *FootprintPool {
-	p := &FootprintPool{n: numNodes}
-	p.pool.New = func() any {
-		p.news.Add(1)
-		return NewFootprint(numNodes)
-	}
-	return p
-}
-
-// Get returns an empty footprint, reusing a pooled one when available.
-func (p *FootprintPool) Get() *Footprint {
-	p.gets.Add(1)
-	return p.pool.Get().(*Footprint)
-}
-
-// Put resets f and returns it to the pool.
-func (p *FootprintPool) Put(f *Footprint) {
-	if f == nil {
-		return
-	}
-	f.Reset()
-	p.pool.Put(f)
-}
-
-// Counters returns the number of Gets served and the number that had to
-// allocate a fresh footprint.
-func (p *FootprintPool) Counters() (gets, news int64) {
-	return p.gets.Load(), p.news.Load()
-}
-
-// FitsFootprint is Fits over a footprint: every touched switch must have at
-// least its demanded qubits free right now. It is the authoritative
-// validation of the flat path — no epoch reasoning, just budget reads.
-func (l *Ledger) FitsFootprint(f *Footprint) bool {
-	for i, id := range f.keys {
-		l.check(id)
-		if l.free[id] < f.load[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ValidateSinceFootprint is ValidateSince over a footprint: a tree planned
-// under epoch e still provably fits when the generation is unbroken, none of
-// the closures since touch the footprint, and per-switch demand is ≤ 2;
-// anything else falls back to the authoritative FitsFootprint. This is the
-// speculative scheduler's validate step in flat form — one closure-log scan
-// against the sparse index instead of map probes.
-func (l *Ledger) ValidateSinceFootprint(e Epoch, f *Footprint) bool {
-	if closed, ok := l.ClosedSince(e); ok && !f.Touches(closed) && f.Max() <= 2 {
-		return true
-	}
-	return l.FitsFootprint(f)
-}
-
-// ReserveFootprint charges every touched switch's demand, all or nothing —
-// ReserveLoad over a footprint. Closures are appended in the footprint's
-// key order, so Sort first when the closure log must be deterministic.
-// Demands must be positive and even, and every key must be a switch.
-func (l *Ledger) ReserveFootprint(f *Footprint) error {
-	for i, id := range f.keys {
-		l.check(id)
-		q := f.load[i]
-		if q <= 0 || q%2 != 0 {
-			return fmt.Errorf("quantum: reserve footprint: switch %d demand %d not a positive even count", id, q)
-		}
-		if l.g.Node(id).Kind != graph.KindSwitch {
-			return fmt.Errorf("quantum: reserve footprint: node %d is not a switch", id)
-		}
-		if l.free[id] < q {
-			return fmt.Errorf("quantum: reserve footprint: switch %d has %d free, need %d: %w",
-				id, l.free[id], q, ErrInteriorQubits)
-		}
-	}
-	for i, id := range f.keys {
-		wasOpen := l.free[id] >= 2
-		l.free[id] -= f.load[i]
-		if wasOpen && l.free[id] < 2 {
-			l.closed = append(l.closed, id)
-		}
-	}
-	l.version++
-	return nil
-}
-
-// ReleaseFootprint refunds a prior ReserveFootprint, with Release's reopen
-// semantics: a refund lifting a switch from below 2 back to >= 2 free qubits
-// starts a new closure generation. Panics on refund beyond a switch's
-// budget.
-func (l *Ledger) ReleaseFootprint(f *Footprint) {
-	for i, id := range f.keys {
-		l.check(id)
-		wasClosed := l.free[id] < 2
-		l.free[id] += f.load[i]
-		if l.free[id] > l.g.Node(id).Qubits {
-			panic(fmt.Sprintf("quantum: release of unreserved footprint at switch %d", id))
-		}
-		if wasClosed && l.free[id] >= 2 {
-			l.gen++
-			l.closed = l.closed[:0]
-		}
-	}
-	l.version++
 }

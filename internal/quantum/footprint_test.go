@@ -107,15 +107,10 @@ func TestFootprintSortAndEntries(t *testing.T) {
 
 // TestFootprintDifferentialVsMap drives a footprint and a map oracle through
 // the same random add/remove/reset sequence and requires identical contents,
-// Max, Touches, and ledger Fits answers at every step — the flat == map pin
-// for the footprint itself.
+// Max and Touches answers at every step — the flat == map pin for the
+// footprint itself.
 func TestFootprintDifferentialVsMap(t *testing.T) {
 	g := footprintNetwork(t, 30, 8)
-	led := NewLedger(g)
-	// Drain some budgets so Fits has both answers to give.
-	for i := 1; i <= 30; i += 3 {
-		led.free[i] = 2
-	}
 	rng := rand.New(rand.NewSource(20260808))
 	f := NewFootprint(g.NumNodes())
 	oracle := map[graph.NodeID]int{}
@@ -147,9 +142,6 @@ func TestFootprintDifferentialVsMap(t *testing.T) {
 		if f.Touches(probe) != LoadTouches(oracle, probe) {
 			t.Fatalf("step %d: Touches(%v) diverges from LoadTouches", step, probe)
 		}
-		if led.FitsFootprint(f) != led.Fits(oracle) {
-			t.Fatalf("step %d: FitsFootprint diverges from Fits", step)
-		}
 	}
 	// Sorted export equals the sorted oracle.
 	f.Sort()
@@ -161,94 +153,6 @@ func TestFootprintDifferentialVsMap(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("entries[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestReserveFootprintMatchesReserveLoad pins the footprint reserve/release
-// pair byte-identical (budgets, closure log, generation) to the
-// ReserveLoad/ReleaseLoad pair it mirrors.
-func TestReserveFootprintMatchesReserveLoad(t *testing.T) {
-	g := footprintNetwork(t, 12, 4)
-	a, b := NewLedger(g), NewLedger(g)
-	rng := rand.New(rand.NewSource(7))
-	f := NewFootprint(g.NumNodes())
-	for round := 0; round < 200; round++ {
-		f.Reset()
-		for n := rng.Intn(4) + 1; n > 0; n-- {
-			f.Add(graph.NodeID(1+rng.Intn(12)), 2)
-		}
-		f.Sort()
-		entries := f.AppendEntries(nil)
-		errA := a.ReserveFootprint(f)
-		errB := b.ReserveLoad(entries)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("round %d: ReserveFootprint err %v, ReserveLoad err %v", round, errA, errB)
-		}
-		if errA == nil && rng.Intn(3) == 0 {
-			a.ReleaseFootprint(f)
-			b.ReleaseLoad(entries)
-		}
-		sa, sb := a.ExportState(), b.ExportState()
-		if sa.Gen != sb.Gen || len(sa.Closed) != len(sb.Closed) {
-			t.Fatalf("round %d: closure history diverged: %+v vs %+v", round, sa, sb)
-		}
-		for i := range sa.Closed {
-			if sa.Closed[i] != sb.Closed[i] {
-				t.Fatalf("round %d: closure log diverged at %d", round, i)
-			}
-		}
-		for i := range sa.Free {
-			if sa.Free[i] != sb.Free[i] {
-				t.Fatalf("round %d: budgets diverged at node %d", round, i)
-			}
-		}
-		if a.Version() != b.Version() {
-			t.Fatalf("round %d: versions diverged: %d vs %d", round, a.Version(), b.Version())
-		}
-	}
-}
-
-// TestValidateSinceFootprintMatchesMap pins the flat validate against the
-// map-shaped one the speculative scheduler used, across epoch breaks,
-// closure touches, and budget-drain scenarios.
-func TestValidateSinceFootprintMatchesMap(t *testing.T) {
-	g := footprintNetwork(t, 12, 4)
-	led := NewLedger(g)
-	rng := rand.New(rand.NewSource(99))
-	f := NewFootprint(g.NumNodes())
-	for round := 0; round < 500; round++ {
-		epoch := led.Epoch()
-		// Mutate: a few random reserve/release pairs move closures and gens.
-		var held [][]graph.NodeID
-		for n := rng.Intn(3); n > 0; n-- {
-			s := 1 + rng.Intn(11)
-			path := []graph.NodeID{0, graph.NodeID(s), graph.NodeID(s + 1), graph.NodeID(13)}
-			if led.Reserve(path) == nil {
-				held = append(held, path)
-			}
-		}
-		for _, path := range held {
-			if rng.Intn(2) == 0 {
-				led.Release(path)
-			}
-		}
-		f.Reset()
-		load := map[graph.NodeID]int{}
-		for n := rng.Intn(4) + 1; n > 0; n-- {
-			id := graph.NodeID(1 + rng.Intn(12))
-			q := 2 * (1 + rng.Intn(2))
-			f.Add(id, q)
-			load[id] += q
-		}
-		flat := led.ValidateSinceFootprint(epoch, f)
-		closed, ok := led.ClosedSince(epoch)
-		mapped := ok && !LoadTouches(load, closed) && MaxLoad(load) <= 2
-		if !mapped {
-			mapped = led.Fits(load)
-		}
-		if flat != mapped {
-			t.Fatalf("round %d: flat validate %v, map validate %v", round, flat, mapped)
 		}
 	}
 }
@@ -275,28 +179,6 @@ func TestValidateSliceSinceMatchesValidateSince(t *testing.T) {
 		if reserved && rng.Intn(2) == 0 {
 			led.Release(path)
 		}
-	}
-}
-
-func TestFootprintPoolRecycles(t *testing.T) {
-	p := NewFootprintPool(8)
-	f := p.Get()
-	f.Add(3, 2)
-	p.Put(f)
-	f2 := p.Get()
-	if f2.Len() != 0 {
-		t.Fatal("pooled footprint returned dirty")
-	}
-	p.Put(f2)
-	gets, news := p.Counters()
-	if gets != 2 {
-		t.Errorf("gets = %d, want 2", gets)
-	}
-	if news < 1 || news > 2 {
-		t.Errorf("news = %d, want 1 or 2", news)
-	}
-	if f2.Cap() != 8 {
-		t.Errorf("Cap = %d, want 8", f2.Cap())
 	}
 }
 
@@ -354,48 +236,6 @@ func FuzzFootprint(f *testing.F) {
 		for id := graph.NodeID(0); int(id) < n; id++ {
 			if fp.Get(id) != 0 || fp.Touches([]graph.NodeID{id}) {
 				t.Fatalf("Reset left node %d dirty", id)
-			}
-		}
-	})
-}
-
-// BenchmarkFootprintValidate measures the flat fill+validate step the
-// speculative scheduler runs per admission, against its map-based
-// predecessor. The flat path must report 0 allocs/op.
-func BenchmarkFootprintValidate(b *testing.B) {
-	g := footprintNetwork(b, 30, 8)
-	led := NewLedger(g)
-	path := make([]graph.NodeID, 0, 8)
-	path = append(path, 0)
-	for i := 5; i < 11; i++ {
-		path = append(path, graph.NodeID(i))
-	}
-	path = append(path, 31)
-	tree := Tree{Channels: []Channel{{Nodes: path, Rate: 0.5}}}
-	epoch := led.Epoch()
-
-	b.Run("flat", func(b *testing.B) {
-		pool := NewFootprintPool(g.NumNodes())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fp := pool.Get()
-			fp.AddTree(tree)
-			if !led.ValidateSinceFootprint(epoch, fp) {
-				b.Fatal("validate failed")
-			}
-			pool.Put(fp)
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			load := tree.QubitLoad()
-			closed, ok := led.ClosedSince(epoch)
-			valid := ok && !LoadTouches(load, closed) && MaxLoad(load) <= 2
-			if !valid && !led.Fits(load) {
-				b.Fatal("validate failed")
 			}
 		}
 	})

@@ -38,9 +38,8 @@ type Ledger struct {
 	free []int
 	g    *graph.Graph
 
-	gen     uint64         // closure generation; bumped when a Release reopens a switch
-	closed  []graph.NodeID // switches closed this generation, in closure order
-	version uint64         // mutation counter; bumped by every state change
+	gen    uint64         // closure generation; bumped when a Release reopens a switch
+	closed []graph.NodeID // switches closed this generation, in closure order
 }
 
 // Epoch identifies a point in a ledger's closure history: a generation plus
@@ -56,16 +55,6 @@ type Epoch struct {
 // tagged with it stays conservatively valid for as long as
 // ClosedSince(epoch) reports ok with no closures touching the result.
 func (l *Ledger) Epoch() Epoch { return Epoch{Gen: l.gen, N: len(l.closed)} }
-
-// Version returns the ledger's mutation counter: it changes whenever any
-// Reserve/Release (path, load, or footprint form), ImportState, or SyncEpoch
-// changes ledger state. Two reads returning the same version under the
-// mutation lock bracket a window with no state change at all — a stronger
-// guarantee than an unbroken Epoch, which only rules out reopened capacity.
-// The solve cache uses version equality to replay rejections: identical
-// budgets mean an identical (deterministic) solve outcome. Versions are
-// in-process only and not persisted; they restart from zero on recovery.
-func (l *Ledger) Version() uint64 { return l.version }
 
 // ClosedSince returns the switches that closed (dropped below 2 free
 // qubits) after epoch e was taken, in closure order. ok is false when e
@@ -130,9 +119,6 @@ func (l *Ledger) Reserve(path []graph.NodeID) error {
 			l.closed = append(l.closed, id)
 		}
 	}
-	if len(path) > 2 {
-		l.version++
-	}
 	return nil
 }
 
@@ -154,9 +140,6 @@ func (l *Ledger) Release(path []graph.NodeID) {
 			l.gen++
 			l.closed = l.closed[:0]
 		}
-	}
-	if len(path) > 2 {
-		l.version++
 	}
 }
 
@@ -211,7 +194,6 @@ func (l *Ledger) ImportState(st LedgerState) error {
 	copy(l.free, st.Free)
 	l.gen = st.Gen
 	l.closed = append(l.closed[:0], st.Closed...)
-	l.version++
 	return nil
 }
 
@@ -229,19 +211,17 @@ func (l *Ledger) SyncEpoch(gen uint64) error {
 	if gen > l.gen {
 		l.gen = gen
 		l.closed = l.closed[:0]
-		l.version++
 	}
 	return nil
 }
 
 // Clone returns an independent copy of the ledger, closure history
 // included. It is the cheap in-process snapshot — two slice copies, no
-// serialization — and the way to take a consistent view of a shared ledger
-// for speculative work: callers hold the ledger's mutation lock for the
-// Clone call only, then solve against the copy freely. Prefer CopyFrom when
-// the same scratch ledger is refreshed repeatedly.
+// serialization — and the way to take a consistent view of a shared ledger:
+// callers hold the ledger's mutation lock for the Clone call only, then
+// read or solve against the copy freely.
 func (l *Ledger) Clone() *Ledger {
-	c := &Ledger{free: make([]int, len(l.free)), g: l.g, gen: l.gen, version: l.version}
+	c := &Ledger{free: make([]int, len(l.free)), g: l.g, gen: l.gen}
 	copy(c.free, l.free)
 	if len(l.closed) > 0 {
 		c.closed = append(c.closed, l.closed...)
@@ -249,27 +229,10 @@ func (l *Ledger) Clone() *Ledger {
 	return c
 }
 
-// CopyFrom overwrites l with src's budgets and closure history. Both
-// ledgers must be over the same graph (it panics otherwise — mixing
-// topologies would corrupt budgets silently). It is Clone without the
-// allocations: a worker that re-snapshots a shared ledger before every
-// speculative solve reuses one scratch ledger instead of allocating a copy
-// per attempt. The caller must hold src's mutation lock for the duration of
-// the call.
-func (l *Ledger) CopyFrom(src *Ledger) {
-	if l.g != src.g {
-		panic("quantum: CopyFrom across different graphs")
-	}
-	copy(l.free, src.free)
-	l.gen = src.gen
-	l.closed = append(l.closed[:0], src.closed...)
-	l.version = src.version
-}
-
 // Fits reports whether the ledger can absorb the given per-switch qubit
-// load right now — the authoritative validation a speculative solve runs
-// under the mutation lock before committing a tree built against a stale
-// view (load is Tree.QubitLoad's shape: switch → qubits demanded).
+// load right now (load is Tree.QubitLoad's shape: switch → qubits
+// demanded). It is the map-form reference the flat paths are tested
+// against.
 func (l *Ledger) Fits(load map[graph.NodeID]int) bool {
 	for id, need := range load {
 		l.check(id)

@@ -1,58 +1,10 @@
 package quantum
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/muerp/quantumnet/internal/graph"
 )
-
-func TestLedgerCopyFrom(t *testing.T) {
-	g := ledgerNetwork(t)
-	l := NewLedger(g)
-	if err := l.Reserve([]graph.NodeID{0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	l.Release([]graph.NodeID{0, 1, 2, 3}) // reopen switch 2: gen bump
-	if err := l.Reserve([]graph.NodeID{0, 1, 3}); err != nil {
-		t.Fatal(err)
-	}
-
-	view := NewLedger(g)
-	// Dirty the scratch ledger first: CopyFrom must overwrite, not merge.
-	if err := view.Reserve([]graph.NodeID{0, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	view.CopyFrom(l)
-	if !reflect.DeepEqual(view.ExportState(), l.ExportState()) {
-		t.Fatalf("CopyFrom state %+v != source %+v", view.ExportState(), l.ExportState())
-	}
-	// The view is independent: mutating it leaves the source untouched.
-	view.Release([]graph.NodeID{0, 1, 3})
-	if l.Free(1) != 2 {
-		t.Fatal("view mutation leaked into the source ledger")
-	}
-	// And vice versa: the closure log is copied, not aliased.
-	before := len(view.ExportState().Closed)
-	if err := l.Reserve([]graph.NodeID{0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(view.ExportState().Closed); got != before {
-		t.Fatalf("source closure log grew into the view: %d -> %d entries", before, got)
-	}
-}
-
-func TestLedgerCopyFromForeignGraphPanics(t *testing.T) {
-	g := ledgerNetwork(t)
-	l := NewLedger(g)
-	other := NewLedger(ledgerNetwork(t))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyFrom across graphs did not panic")
-		}
-	}()
-	l.CopyFrom(other)
-}
 
 func TestLedgerFits(t *testing.T) {
 	g := ledgerNetwork(t) // switch 1: 4 qubits, switch 2: 2 qubits

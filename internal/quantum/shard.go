@@ -111,9 +111,6 @@ func (l *Ledger) ReserveLoad(entries []LoadEntry) error {
 			l.closed = append(l.closed, e.ID)
 		}
 	}
-	if len(entries) > 0 {
-		l.version++
-	}
 	return nil
 }
 
@@ -134,16 +131,13 @@ func (l *Ledger) ReleaseLoad(entries []LoadEntry) {
 			l.closed = l.closed[:0]
 		}
 	}
-	if len(entries) > 0 {
-		l.version++
-	}
 }
 
 // ValidateSince is the prepare step of the cross-region protocol: it reports
 // whether a load slice planned under epoch e still provably fits the ledger.
-// The fast path reuses the closure-epoch argument from the speculative
-// scheduler — an unbroken generation whose new closures miss the slice,
-// with per-switch demand ≤ 2, proves capacity without reading budgets — and
+// The fast path is the closure-epoch argument — an unbroken generation
+// whose new closures miss the slice, with per-switch demand ≤ 2, proves
+// capacity without reading budgets — and
 // anything else falls back to the authoritative FitsLoad. It reads only;
 // commit is ReserveLoad, abort is a no-op.
 func (l *Ledger) ValidateSince(e Epoch, entries []LoadEntry) bool {

@@ -146,7 +146,7 @@ var (
 
 // Verdict classifies one admission attempt's outcome. It is the ONE
 // decision semantics shared by the offline simulator and the online
-// daemon's schedulers (serial and speculative), which is what lets the
+// daemon's batch decide and cross-region router, which is what lets the
 // differential tests compare them decision for decision.
 type Verdict int
 

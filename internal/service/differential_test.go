@@ -82,33 +82,25 @@ func seconds(x float64) time.Duration {
 // daemon's semantics to the paper's admission model: the serving layer is
 // sched.Simulate made online.
 //
-// It runs once per scheduler: the serial scheduler directly, and the
-// speculative scheduler forced on with one worker — a single worker leaves
-// nothing able to move between a view snapshot and its validation, so the
-// speculative pipeline must collapse to the exact serial decision sequence
-// (DESIGN.md §8). Every mode queues on the DWRR scheduler; the qos variants
-// re-run both with an explicit single-tenant policy instead of none. One
-// tenant's DWRR is pure FIFO, so the decision sequence must stay identical
-// decision for decision (DESIGN.md §11).
+// It runs twice: once with no tenant policy, and once ("serial-qos") with
+// an explicit single-tenant policy instead. One tenant's DWRR is pure FIFO,
+// so the decision sequence must stay identical decision for decision
+// (DESIGN.md §11).
 func TestDifferentialAgainstSimulate(t *testing.T) {
 	for _, mode := range []struct {
-		name      string
-		scheduler string
-		workers   int
-		qos       bool
+		name string
+		qos  bool
 	}{
-		{name: "serial", scheduler: SchedulerSerial},
-		{name: "speculative-workers-1", scheduler: SchedulerSpeculative, workers: 1},
-		{name: "serial-qos", scheduler: SchedulerSerial, qos: true},
-		{name: "speculative-workers-1-qos", scheduler: SchedulerSpeculative, workers: 1, qos: true},
+		{name: "serial"},
+		{name: "serial-qos", qos: true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			differentialAgainstSimulate(t, mode.scheduler, mode.workers, mode.qos)
+			differentialAgainstSimulate(t, mode.qos)
 		})
 	}
 }
 
-func differentialAgainstSimulate(t *testing.T, scheduler string, workers int, qosMode bool) {
+func differentialAgainstSimulate(t *testing.T, qosMode bool) {
 	for _, seed := range []int64{1, 7, 42} {
 		cfg := topology.Default()
 		cfg.Users = 8
@@ -137,8 +129,6 @@ func differentialAgainstSimulate(t *testing.T, scheduler string, workers int, qo
 			MaxBatch:  1, // serialized replay: one decision per arrival instant
 			MaxTTL:    1000 * time.Hour,
 			Clock:     fc,
-			Scheduler: scheduler,
-			Workers:   workers,
 		}
 		if qosMode {
 			cfgS.QoS = &qos.Config{} // normalizes to the lone default tenant

@@ -251,21 +251,12 @@ func (s *Server) snapshotNow() {
 		return
 	}
 	st := s.stateLocked()
-	warm := s.acceptSetsLocked()
 	s.mu.Unlock()
 
 	meta, err := snapshot.Save(s.dur.snaps, seq, s.clock.Now(), st)
 	if err != nil {
 		s.dur.snapErrs.Add(1)
 		return
-	}
-	// Persist the solve cache's accept-tier user sets beside the snapshot so
-	// a restart can re-prime the cache (solvecache.go). Advisory: a write
-	// failure costs warm hits, never correctness.
-	if warm != nil {
-		if err := s.saveWarmSets(warm); err != nil {
-			s.dur.snapErrs.Add(1)
-		}
 	}
 	s.mu.Lock()
 	s.dur.snapSeq = seq
@@ -303,16 +294,6 @@ func ParamsPath(dataDir string) string { return filepath.Join(dataDir, "params.j
 // recovering WAL would make per-tenant accounting unexplainable. Operators
 // change policy by removing qos.json together with the config change.
 func QoSPath(dataDir string) string { return filepath.Join(dataDir, "qos.json") }
-
-// warmCachePath returns the persisted solve-cache warm-set file; it lives
-// beside the snapshots because it is advisory state derived from them.
-func warmCachePath(snaps string) string { return filepath.Join(snaps, "cachewarm.json") }
-
-// warmSets is the on-disk form of the solve cache's accept-tier user sets,
-// most-recently-used first.
-type warmSets struct {
-	Sets [][]graph.NodeID `json:"sets"`
-}
 
 // pinEnvironment stores the topology, physical parameters and tenant policy
 // in the data directory on first use, and on later boots verifies the
@@ -624,40 +605,7 @@ func (s *Server) openDurability(cfg Config) error {
 			s.dur.snapMeta = meta
 		}
 	}
-	// Warm-start the solve cache from the previous run's accept-tier sets.
-	// Best-effort: a missing or stale file just means a cold cache.
-	if s.cache != nil {
-		if sets, err := loadWarmSets(warmCachePath(sdir)); err == nil {
-			s.warmSolveCache(sets)
-		}
-	}
 	return nil
-}
-
-// saveWarmSets writes the warm-set file atomically (tmp + rename).
-func (s *Server) saveWarmSets(sets [][]graph.NodeID) error {
-	b, err := json.Marshal(warmSets{Sets: sets})
-	if err != nil {
-		return err
-	}
-	path := warmCachePath(s.dur.snaps)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func loadWarmSets(path string) ([][]graph.NodeID, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var ws warmSets
-	if err := json.Unmarshal(b, &ws); err != nil {
-		return nil, err
-	}
-	return ws.Sets, nil
 }
 
 // closeDurability takes a final snapshot (so a clean restart replays

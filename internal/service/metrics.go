@@ -165,17 +165,35 @@ type Metrics struct {
 	Admission    sched.Summary     `json:"admission"`
 	// Durability reports the WAL/snapshot layer; nil without a data dir.
 	Durability *DurabilityMetrics `json:"durability,omitempty"`
-	// Speculation reports the speculative scheduler's commit/conflict
-	// counters (speculative.go); nil when the serial scheduler is active.
+	// Speculation is always nil, so /metrics omits it.
+	//
+	// Deprecated: kept only because the perfbench module still reads it.
 	Speculation *SpeculationMetrics `json:"speculation,omitempty"`
-	// SolveCache reports the epoch-keyed solve cache (solvecache.go); nil
-	// when disabled via Config.SolveCacheSize < 0.
+	// SolveCache is always nil, so /metrics omits it.
+	//
+	// Deprecated: kept only because the perfbench module still reads it.
 	SolveCache *SolveCacheMetrics `json:"solve_cache,omitempty"`
-	// FootprintPool reports the pooled flat-footprint recycling on the
-	// admission hot path.
+	// FootprintPool is always nil, so /metrics omits it.
+	//
+	// Deprecated: kept only because the perfbench module still reads it.
 	FootprintPool *FootprintPoolMetrics `json:"footprint_pool,omitempty"`
 	// Tenants is the per-tenant SLO section (qosplane.go); nil without a
 	// tenant policy (Config.QoS). In the sharded plane it is aggregated
 	// across shards.
 	Tenants []TenantMetrics `json:"tenants,omitempty"`
 }
+
+// SpeculationMetrics types the always-nil Metrics.Speculation.
+//
+// Deprecated: kept only because the perfbench module still reads it.
+type SpeculationMetrics struct{ WastedSolveRatio float64 }
+
+// SolveCacheMetrics types the always-nil Metrics.SolveCache.
+//
+// Deprecated: kept only because the perfbench module still reads it.
+type SolveCacheMetrics struct{ HitRate float64 }
+
+// FootprintPoolMetrics types the always-nil Metrics.FootprintPool.
+//
+// Deprecated: kept only because the perfbench module still reads it.
+type FootprintPoolMetrics struct{ ReuseRate float64 }

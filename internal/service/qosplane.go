@@ -14,11 +14,11 @@ import (
 // This file wires the internal/qos subsystem in front of the admission loop
 // (DESIGN.md §11). The qos.Scheduler — per-tenant bounded sub-queues drained
 // strict-priority-first with deficit-weighted round-robin — is the one
-// admission queue: the admission loop dequeues in its order and hands
-// micro-batches to the serial or speculative scheduler, so solving, the
-// ledger, durability and sharding are tenant-blind. A shared token-bucket
-// limiter throttles over-rate tenants at Submit time (HTTP 429 +
-// Retry-After), before anything is queued.
+// admission queue: the admission loop dequeues in its order and decides
+// micro-batches serially, so solving, the ledger, durability and sharding
+// are tenant-blind. A shared token-bucket limiter throttles over-rate
+// tenants at Submit time (HTTP 429 + Retry-After), before anything is
+// queued.
 //
 // Without a tenant policy (nil Config.QoS) the registry holds only the
 // default tenant: no quota, queue depth QueueSize, and one tenant's DWRR is
@@ -68,7 +68,7 @@ func (s *Server) wireTenant(name string) string {
 // tenantStat is one tenant's SLO accounting: outcome counters plus the
 // admission-latency histogram (enqueue to decision, wall clock). All fields
 // are atomic — stats are written from Submit, the admission loop and the
-// speculative workers concurrently.
+// cross-region router concurrently.
 type tenantStat struct {
 	spec qos.TenantSpec
 
@@ -145,7 +145,7 @@ func (t *tenantTable) get(wire string) *tenantStat {
 }
 
 // finish records the request's per-tenant outcome and delivers the result.
-// Every decision path (serial, speculative, drain, close-bounce) funnels
+// Every decision path (batch decide, drain, close-bounce) funnels
 // through here so tenant SLO counters cannot drift from delivered results.
 func (p *pending) finish(r admitResult) {
 	p.stat.note(r.err, time.Since(p.enq))

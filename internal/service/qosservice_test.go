@@ -224,7 +224,6 @@ func TestQoSShardedDifferential(t *testing.T) {
 			MaxBatch:  1,
 			MaxTTL:    1000 * time.Hour,
 			Clock:     fc,
-			Scheduler: SchedulerSerial,
 		}
 		if withQoS {
 			c.QoS = &qos.Config{}
@@ -299,8 +298,6 @@ func TestQoSMultiTenantHammer(t *testing.T) {
 		MaxBatch:  4,
 		MaxWait:   100 * time.Microsecond,
 		MaxTTL:    time.Hour,
-		Scheduler: SchedulerSpeculative,
-		Workers:   4,
 		QoS:       qc,
 	})
 
@@ -484,63 +481,6 @@ func TestQoSRecoveryWithTenants(t *testing.T) {
 		if !ok || info.Tenant != ss.Info.Tenant {
 			t.Fatalf("session %s tenant %q not recovered (ok=%v info=%+v)", ss.Info.ID, ss.Info.Tenant, ok, info)
 		}
-	}
-}
-
-// TestSolveCacheWarmStart pins the PR-9 warm-start satellite: accept-tier
-// user sets persist beside the snapshot, a restart re-primes them, and the
-// very first post-restart repeat is a cache hit (nonzero first-batch hit
-// rate) with the decision unchanged.
-func TestSolveCacheWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	g := wideBottleneck(t, 8)
-	base := time.Unix(0, 0)
-	mk := func(fc *fakeClock) Config {
-		return Config{Graph: g, DataDir: dir, MaxBatch: 1, MaxTTL: 1000 * time.Hour, Clock: fc}
-	}
-	fc := newFakeClock(base)
-	s1, err := New(mk(fc))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	info, err := s1.Submit(context.Background(), []graph.NodeID{0, 1}, time.Hour)
-	if err != nil {
-		t.Fatalf("seed session: %v", err)
-	}
-	wantRate := info.Rate
-	if _, err := s1.Submit(context.Background(), []graph.NodeID{2, 3}, time.Hour); err != nil {
-		t.Fatalf("second seed session: %v", err)
-	}
-	// Release everything so the restart re-primes against a free ledger.
-	if err := s1.Delete(info.ID); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if err := s1.Close(); err != nil { // graceful: final snapshot + warm set
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2, err := New(mk(newFakeClock(base)))
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	defer func() { _ = s2.Close() }()
-	m := s2.Metrics()
-	if m.SolveCache == nil || m.SolveCache.Warmed == 0 {
-		t.Fatalf("solve cache not warmed at boot: %+v", m.SolveCache)
-	}
-	info2, err := s2.Submit(context.Background(), []graph.NodeID{0, 1}, time.Hour)
-	if err != nil {
-		t.Fatalf("post-restart repeat: %v", err)
-	}
-	if math.Abs(info2.Rate-wantRate) > 1e-15*math.Max(1, math.Abs(wantRate)) {
-		t.Fatalf("post-restart rate %g, want %g", info2.Rate, wantRate)
-	}
-	m = s2.Metrics()
-	if hits := m.SolveCache.ExactHits + m.SolveCache.EpochHits; hits == 0 {
-		t.Fatalf("first post-restart repeat missed the warmed cache: %+v", m.SolveCache)
-	}
-	if err := VerifyState(g, quantum.DefaultParams(), s2.StateDump()); err != nil {
-		t.Fatalf("VerifyState after warm hit: %v", err)
 	}
 }
 

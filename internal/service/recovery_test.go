@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/qos"
+	"github.com/muerp/quantumnet/internal/quantum"
 	"github.com/muerp/quantumnet/internal/sched"
 	"github.com/muerp/quantumnet/internal/topology"
 	"github.com/muerp/quantumnet/internal/wal"
@@ -196,6 +198,19 @@ func TestServerRestartRecovers(t *testing.T) {
 	want := dumpJSON(t, s1.StateDump())
 	live := s1.StateDump().Sessions
 	crash(t, s1)
+	// Builds with a solve cache left a warm set beside the snapshots;
+	// recovery and boot must ignore it.
+	plantStaleWarmCache(t, snapDir(dir), live)
+	rec, err := Recover(dir, g)
+	if err != nil {
+		t.Fatalf("Recover beside a stale warm-cache file: %v", err)
+	}
+	if got := dumpJSON(t, rec.State); string(got) != string(want) {
+		t.Fatalf("recovered state differs\nlive:      %s\nrecovered: %s", want, got)
+	}
+	if err := VerifyState(g, quantum.DefaultParams(), rec.State); err != nil {
+		t.Fatalf("recovered state fails verification: %v", err)
+	}
 
 	fc2 := newFakeClock(fc.Now())
 	s2, err := New(Config{
@@ -210,6 +225,9 @@ func TestServerRestartRecovers(t *testing.T) {
 	}
 	if got := dumpJSON(t, s2.StateDump()); string(got) != string(want) {
 		t.Fatalf("restarted state differs\nbefore: %s\nafter:  %s", want, got)
+	}
+	if err := VerifyState(g, quantum.DefaultParams(), s2.StateDump()); err != nil {
+		t.Fatalf("restarted state fails verification: %v", err)
 	}
 	for _, ss := range live {
 		info, ok := s2.Session(ss.Info.ID)
@@ -289,6 +307,74 @@ func TestServerRestartRecovers(t *testing.T) {
 	}
 	if got, ok := s3.Session(info.ID); !ok || got.Tenant != "acme" {
 		t.Fatalf("session %s after the policy restart: %+v (live %v)", info.ID, got, ok)
+	}
+}
+
+// plantStaleWarmCache writes a cachewarm.json into a snapshot directory in
+// the format builds with a solve cache used: the accept-tier user sets,
+// most recently used first.
+func plantStaleWarmCache(t *testing.T, snaps string, sessions []SessionState) {
+	t.Helper()
+	sets := [][]graph.NodeID{}
+	for _, ss := range sessions {
+		sets = append(sets, ss.Info.Users)
+	}
+	b, err := json.Marshal(map[string]any{"sets": sets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(snaps, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(snaps, "cachewarm.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentDurableRecovery runs a concurrent burst with the WAL
+// enabled, deletes a few sessions, and requires the recovered state to be
+// byte-identical to the live dump: every decide must stage its records in
+// mutation order, or replay diverges.
+func TestConcurrentDurableRecovery(t *testing.T) {
+	dir := t.TempDir()
+	g := burstGraph(t, 23)
+	s, err := New(Config{
+		Graph:    g,
+		MaxBatch: 8,
+		MaxTTL:   time.Hour,
+		DataDir:  dir,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+
+	accepted, _ := submitBurst(t, s, g, 4, 10)
+	if accepted == 0 {
+		t.Fatal("burst admitted nothing")
+	}
+	// Free a little capacity through the DELETE path so releases interleave
+	// with the burst's records in the WAL.
+	st := s.StateDump()
+	for i := 0; i < len(st.Sessions) && i < 3; i++ {
+		if err := s.Delete(st.Sessions[i].Info.ID); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	submitBurst(t, s, g, 2, 5)
+
+	want := dumpJSON(t, s.StateDump())
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rec, err := Recover(dir, g)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := dumpJSON(t, rec.State); string(got) != string(want) {
+		t.Fatalf("recovered state differs\nlive:      %s\nrecovered: %s", want, got)
+	}
+	if err := VerifyState(g, quantum.DefaultParams(), rec.State); err != nil {
+		t.Fatalf("recovered state fails verification: %v", err)
 	}
 }
 

@@ -6,28 +6,26 @@
 //
 // Architecture (see DESIGN.md §6, §8):
 //
-//	HTTP/Submit → DWRR queue → admission loop → scheduler → BuildGreedyTree
-//	                                                │ (one mutex)   │
-//	                                                └── live Ledger ←┘
-//	                                                       ▲
-//	                                        expiry wheel ──┘ (TTL / DELETE)
+//	HTTP/Submit → DWRR queue → admission loop → decide → BuildGreedyTree
+//	                                               │ (one mutex)  │
+//	                                               └── live Ledger ←┘
+//	                                                      ▲
+//	                                       expiry wheel ──┘ (TTL / DELETE)
 //
 // Requests are enqueued onto the qos.Scheduler (qosplane.go): bounded
 // per-tenant sub-queues drained deficit-weighted round-robin. Without a
 // tenant policy it holds the lone default tenant, whose queue is a plain
 // FIFO. A full queue is immediate backpressure (ErrQueueFull / HTTP 429).
-// The admission loop drains it in micro-batches, each handed to the
-// configured scheduler (scheduler.go): the serial
-// scheduler solves every request under one lock acquisition so consecutive
-// solves share a warm ledger-epoch stretch for the incremental search
-// cache; the speculative scheduler (speculative.go, Config.Workers > 1)
-// solves in parallel against consistent ledger views and validates-and-
-// commits under the mutex via the closure epochs. Accepted sessions hold
-// their tree's switch qubits until their TTL expires or they are deleted;
-// a single expiry-wheel goroutine releases capacity exactly as
-// sched.Simulate's expireSessions does, which is what makes the daemon's
-// admission decisions match the offline simulator trace for trace (pinned
-// by the differential test).
+// The admission loop drains it in micro-batches and decides each batch
+// serially under one lock acquisition, so consecutive solves share a warm
+// ledger-epoch stretch for the incremental search cache and one WAL group
+// commit covers the whole batch. Accepted sessions hold their tree's switch
+// qubits until their TTL expires or they are deleted; a single expiry-wheel
+// goroutine releases capacity exactly as sched.Simulate's expireSessions
+// does, which is what makes the daemon's admission decisions match the
+// offline simulator trace for trace (pinned by the differential test).
+// Parallelism comes from sharding (sharded.go): each region shard decides
+// its own batches.
 //
 // Concurrency: the ledger, session table and expiry heap are guarded by
 // one mutex shared by the admission loop and the expiry wheel (the
@@ -83,24 +81,11 @@ type Config struct {
 	// after its first request arrives; 0 drains only what is already
 	// queued. Default 2ms.
 	MaxWait time.Duration
-	// Workers is the solve parallelism: how many goroutines the speculative
-	// scheduler solves a micro-batch with. Default 1.
+	// Workers is ignored: every micro-batch is decided serially, and
+	// parallelism comes from sharding.
+	//
+	// Deprecated: kept only because the perfbench module still sets it.
 	Workers int
-	// Scheduler names the admission scheduler (SchedulerSerial or
-	// SchedulerSpeculative). Empty picks by Workers: 1 runs serial, more run
-	// speculative. (Forcing SchedulerSpeculative with Workers=1 is how the
-	// differential test pins the speculative path to serial decisions.)
-	Scheduler string
-	// SpecRetries bounds how many times a speculative solve is retried after
-	// a validation conflict before the request is decided serially under the
-	// mutex. Default 3.
-	SpecRetries int
-	// SolveCacheSize bounds the epoch-keyed solve cache (solvecache.go):
-	// per sorted user set, the last solved outcome is replayed when the
-	// ledger provably leads a fresh solve to the same answer. 0 means the
-	// default of 256 entries; negative disables the cache. Each shard of a
-	// ShardedServer carries its own cache of this size.
-	SolveCacheSize int
 	// DefaultTTL is the session lifetime when a request does not name one.
 	// Default 30s.
 	DefaultTTL time.Duration
@@ -178,15 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.SpecRetries <= 0 {
-		c.SpecRetries = 3
-	}
-	if c.SolveCacheSize == 0 {
-		c.SolveCacheSize = 256
 	}
 	if c.Clock == nil {
 		c.Clock = SystemClock()
@@ -317,17 +293,6 @@ type Server struct {
 	ctrs     counters
 	lat      *histogram
 
-	// cache replays repeat solves when the ledger provably allows it
-	// (solvecache.go); nil when disabled. Guarded by mu like the ledger.
-	cache *solveCache
-	// fpPool recycles the flat load footprints the hot path fills per
-	// admission (quantum.Footprint); shared by the speculative validate and
-	// the sharded split/validate steps.
-	fpPool *quantum.FootprintPool
-
-	// sched decides micro-batches (scheduler.go); chosen once at New.
-	sched scheduler
-
 	// dur is the durability runtime (WAL + snapshots); nil without DataDir.
 	dur *durability
 }
@@ -356,7 +321,6 @@ func New(cfg Config) (*Server, error) {
 		arrive:   make(chan struct{}, 1),
 		lat:      newHistogram(),
 		idPrefix: "s-",
-		fpPool:   quantum.NewFootprintPool(cfg.Graph.NumNodes()),
 	}
 	policy, err := cfg.tenantPolicy()
 	if err != nil {
@@ -368,17 +332,11 @@ func New(cfg Config) (*Server, error) {
 		s.qlim = qos.NewLimiter(policy)
 	}
 	s.tstats = newTenantTable(policy)
-	if cfg.SolveCacheSize > 0 {
-		s.cache = newSolveCache(cfg.SolveCacheSize, cfg.Graph.NumNodes())
-	}
 	if cfg.shard != nil {
 		s.idPrefix = fmt.Sprintf("s%d-", cfg.shard.index)
 	}
 	for _, id := range cfg.Graph.Switches() {
 		s.total += cfg.Graph.Node(id).Qubits
-	}
-	if s.sched, err = newScheduler(s, cfg); err != nil {
-		return nil, err
 	}
 	if cfg.DataDir != "" {
 		// Recover the pre-crash state and open the WAL before any goroutine
@@ -592,7 +550,7 @@ func (s *Server) admissionLoop() {
 // short, so the final drain decides the backlog without waiting for more.
 func (s *Server) drain() {
 	for p, ok := s.dequeue(); ok; p, ok = s.dequeue() {
-		s.sched.decide(s.fillBatch(p))
+		s.decide(s.fillBatch(p))
 	}
 }
 
@@ -622,6 +580,97 @@ func (s *Server) fillBatch(first *pending) []*pending {
 		}
 	}
 	return batch
+}
+
+// decide decides a whole micro-batch under one lock acquisition: expiry
+// runs once at the batch's admission instant, then every request solves
+// against the live ledger in dequeue order. Keeping Release out of the
+// solve sequence keeps ledger epochs monotone across the batch, so the
+// incremental search cache never invalidates wholesale mid-batch. Each
+// request gets exactly one result, delivered only once the batch is durable.
+func (s *Server) decide(batch []*pending) {
+	s.ctrs.noteBatch(len(batch))
+	results := make([]admitResult, len(batch))
+	s.mu.Lock()
+	now := s.clock.Now()
+	s.expireLocked(now)
+	for i, p := range batch {
+		info, err := s.admitOneLocked(now, p)
+		results[i] = admitResult{info: info, err: err}
+	}
+	// Hand the batch's records (expiries + admits, in mutation order) to the
+	// WAL while still holding the lock: WAL order is mutation order.
+	ticket := s.enqueueRecordsLocked()
+	s.mu.Unlock()
+	// Write-ahead contract: decisions reach disk before any caller hears
+	// them. One fsync covers the whole batch (group commit).
+	_ = s.waitDurable(ticket)
+	for i, p := range batch {
+		p.finish(results[i])
+	}
+	s.wakeExpiry()
+}
+
+// admitOneLocked decides one request against the live ledger under s.mu.
+func (s *Server) admitOneLocked(now time.Time, p *pending) (SessionInfo, error) {
+	if err := p.ctx.Err(); err != nil {
+		s.ctrs.canceled.Add(1)
+		return SessionInfo{}, err
+	}
+	var st core.SolveStats
+	genBefore := s.led.Epoch().Gen
+	t0 := time.Now()
+	tree, err := core.BuildGreedyTree(p.ctx, p.prob, s.led, &core.SolveOptions{Stats: &st})
+	s.lat.observe(time.Since(t0))
+	s.work.Merge(&st)
+	if err != nil {
+		switch sched.Classify(p.ctx.Err(), err) {
+		case sched.VerdictRejected:
+			s.ctrs.rejected.Add(1)
+		case sched.VerdictAborted:
+			if p.ctx.Err() != nil {
+				// The request's deadline fired mid-solve; BuildGreedyTree
+				// rolled every reservation back.
+				s.ctrs.canceled.Add(1)
+			} else {
+				s.ctrs.failed.Add(1)
+			}
+		}
+		// A rolled-back attempt leaves the budgets untouched but its
+		// reopening releases may have bumped the closure generation; log the
+		// bump so replay lands on the identical epoch.
+		if gen := s.led.Epoch().Gen; gen != genBefore {
+			s.appendRecordLocked(walRecord{T: recEpoch, Epoch: &epochRecord{Gen: gen}})
+		}
+		return SessionInfo{}, err
+	}
+	id := fmt.Sprintf("%s%d", s.idPrefix, s.nextID.Add(1))
+	sess := &session{
+		info: SessionInfo{
+			ID:         id,
+			Users:      p.users,
+			Tenant:     p.tenant,
+			Rate:       tree.Rate(),
+			Channels:   len(tree.Channels),
+			AdmittedAt: now,
+			ExpiresAt:  now.Add(p.ttl),
+		},
+		tree:      tree,
+		expiresAt: now.Add(p.ttl),
+	}
+	s.sessions[id] = sess
+	heap.Push(&s.expiry, sess)
+	s.ctrs.accepted.Add(1)
+	s.sumRate += sess.info.Rate
+	if used := s.led.UsedQubits(); used > s.peak {
+		s.peak = used
+	}
+	s.appendRecordLocked(walRecord{T: recAdmit, Admit: &admitRecord{
+		Info:   sess.info,
+		Tree:   tree,
+		NextID: s.nextID.Load(),
+	}})
+	return sess.info, nil
 }
 
 // expireLocked releases every session whose expiry is at or before now —
@@ -709,7 +758,6 @@ func (s *Server) Metrics() Metrics {
 	gen := s.led.Epoch().Gen
 	sumRate := s.sumRate
 	peak := s.peak
-	cacheM := s.solveCacheMetricsLocked()
 	s.mu.Unlock()
 
 	acc := s.ctrs.accepted.Load()
@@ -766,11 +814,8 @@ func (s *Server) Metrics() Metrics {
 			TotalQubits: s.total,
 			EpochGen:    gen,
 		},
-		Admission:     adm,
-		Durability:    s.durabilityMetrics(),
-		Speculation:   s.sched.speculation(),
-		SolveCache:    cacheM,
-		FootprintPool: s.footprintPoolMetrics(),
-		Tenants:       s.tenantMetrics(),
+		Admission:  adm,
+		Durability: s.durabilityMetrics(),
+		Tenants:    s.tenantMetrics(),
 	}
 }

@@ -29,32 +29,15 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// benchGraphBig is the solve-bound network the speculative variants run on:
+// benchGraphBig is the solve-bound network of the big-workers1 variant:
 // 12 users and 64 well-provisioned switches make each BuildGreedyTree search
-// long enough that parallel solving, not lock hand-off, dominates.
+// long enough that solving, not lock hand-off, dominates.
 func benchGraphBig(b *testing.B) *graph.Graph {
 	b.Helper()
 	cfg := topology.Default()
 	cfg.Users = 12
 	cfg.Switches = 64
 	cfg.SwitchQubits = 8
-	g, err := topology.Generate(cfg, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatalf("topology: %v", err)
-	}
-	return g
-}
-
-// benchGraphHot is benchGraphBig with well-provisioned switches (32 qubits):
-// switches never close, so generations never bump and repeat requests stay
-// budget-equivalent — the solve cache's home regime (recurring user groups
-// on a network with headroom).
-func benchGraphHot(b *testing.B) *graph.Graph {
-	b.Helper()
-	cfg := topology.Default()
-	cfg.Users = 12
-	cfg.Switches = 64
-	cfg.SwitchQubits = 32
 	g, err := topology.Generate(cfg, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatalf("topology: %v", err)
@@ -70,24 +53,15 @@ func benchGraphHot(b *testing.B) *graph.Graph {
 // delta is the group-commit cost: one fsync per admission batch, amortised
 // across every request that shares it.
 //
-// The big* variants move to the solve-bound benchGraphBig and sweep the
-// speculative scheduler's worker count against the big-workers1 serial
-// baseline: the workersN / workers1 ratio is the speculation speedup, and
-// it only materialises with GOMAXPROCS >= N — on a single-core runner the
-// variants measure speculation overhead (snapshot + validate) instead.
+// big-workers1 moves to the solve-bound benchGraphBig. It keeps the name it
+// had when it was the serial baseline of a worker sweep, so benchreport
+// still pairs it with the committed "footprint" run.
 func BenchmarkAdmissionLoop(b *testing.B) {
-	// The hot-repeats pair replays a small pool of user sets — the workload
-	// the solve cache exists for — once with the cache (default) and once
-	// with it disabled; the delta is the cached-replay win and the cache-on
-	// run reports its measured hit rate.
 	for _, bench := range []struct {
 		name     string
 		maxBatch int
 		durable  bool
-		workers  int
 		big      bool
-		hot      bool
-		nocache  bool
 	}{
 		{name: "batch1", maxBatch: 1},
 		{name: "batch16", maxBatch: 16},
@@ -95,19 +69,11 @@ func BenchmarkAdmissionLoop(b *testing.B) {
 		{name: "batch8-durable", maxBatch: 8, durable: true},
 		{name: "batch16-durable", maxBatch: 16, durable: true},
 		{name: "big-workers1", maxBatch: 16, big: true},
-		{name: "big-workers2", maxBatch: 16, workers: 2, big: true},
-		{name: "big-workers4", maxBatch: 16, workers: 4, big: true},
-		{name: "big-workers4-durable", maxBatch: 16, workers: 4, big: true, durable: true},
-		{name: "hot-repeats", maxBatch: 16, hot: true},
-		{name: "hot-repeats-nocache", maxBatch: 16, hot: true, nocache: true},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			g := benchGraph(b)
 			if bench.big {
 				g = benchGraphBig(b)
-			}
-			if bench.hot {
-				g = benchGraphHot(b)
 			}
 			cfg := Config{
 				Graph:      g,
@@ -116,7 +82,6 @@ func BenchmarkAdmissionLoop(b *testing.B) {
 				MaxWait:    200 * time.Microsecond,
 				DefaultTTL: 2 * time.Millisecond,
 				MaxTTL:     time.Second,
-				Workers:    bench.workers,
 			}
 			if bench.durable {
 				cfg.DataDir = b.TempDir()
@@ -125,33 +90,16 @@ func BenchmarkAdmissionLoop(b *testing.B) {
 				cfg.SnapshotEvery = 1 << 30
 				cfg.SnapshotInterval = time.Hour
 			}
-			if bench.nocache {
-				cfg.SolveCacheSize = -1
-			}
 			s, err := New(cfg)
 			if err != nil {
 				b.Fatalf("New: %v", err)
 			}
 			defer func() { _ = s.Close() }()
 			users := g.Users()
-			var hotPool [][]graph.NodeID
-			if bench.hot {
-				prng := rand.New(rand.NewSource(99))
-				for i := 0; i < 8; i++ {
-					size := 2 + prng.Intn(2)
-					perm := prng.Perm(len(users))
-					set := make([]graph.NodeID, size)
-					for j := range set {
-						set[j] = users[perm[j]]
-					}
-					hotPool = append(hotPool, set)
-				}
-			}
 			var accepted, rejected, other atomic.Int64
-			if bench.big || bench.hot {
+			if bench.big {
 				// Keep several clients per core in flight so micro-batches
-				// actually fill and the worker sweep has work to spread, even
-				// on small runners.
+				// actually fill, even on small runners.
 				b.SetParallelism(8)
 			}
 			b.ResetTimer()
@@ -159,15 +107,11 @@ func BenchmarkAdmissionLoop(b *testing.B) {
 				rng := rand.New(rand.NewSource(benchSeed.Add(1)))
 				members := make([]graph.NodeID, 0, 3)
 				for pb.Next() {
-					if bench.hot {
-						members = hotPool[rng.Intn(len(hotPool))]
-					} else {
-						members = members[:0]
-						size := 2 + rng.Intn(2)
-						perm := rng.Perm(len(users))
-						for i := 0; i < size; i++ {
-							members = append(members, users[perm[i]])
-						}
+					members = members[:0]
+					size := 2 + rng.Intn(2)
+					perm := rng.Perm(len(users))
+					for i := 0; i < size; i++ {
+						members = append(members, users[perm[i]])
 					}
 					_, err := s.Submit(context.Background(), members, 2*time.Millisecond)
 					switch {
@@ -191,17 +135,6 @@ func BenchmarkAdmissionLoop(b *testing.B) {
 			m := s.Metrics()
 			if m.Batches.Count > 0 {
 				b.ReportMetric(m.Batches.MeanSize, "batch-size")
-			}
-			if sp := m.Speculation; sp != nil && sp.Solves > 0 && total > 0 {
-				b.ReportMetric(sp.WastedSolveRatio, "wasted-solves")
-				b.ReportMetric(float64(sp.Fallbacks)/float64(total), "fallback-ratio")
-				b.ReportMetric(float64(sp.MaxParallel), "max-parallel")
-			}
-			if sc := m.SolveCache; sc != nil && sc.ExactHits+sc.EpochHits+sc.Misses > 0 {
-				b.ReportMetric(sc.HitRate, "cache-hit-rate")
-			}
-			if fpm := m.FootprintPool; fpm != nil && fpm.Gets > 0 {
-				b.ReportMetric(fpm.ReuseRate, "fp-reuse")
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/qos"
 	"github.com/muerp/quantumnet/internal/quantum"
+	"github.com/muerp/quantumnet/internal/topology"
 )
 
 // bottleneck builds 4 users around one switch that carries exactly one
@@ -582,4 +584,96 @@ func ExampleServer() {
 	}
 	fmt.Println(info.ID, info.Channels)
 	// Output: s-1 1
+}
+
+// burstGraph builds a mid-size random network with enough capacity that a
+// concurrent burst mixes accepts and rejects.
+func burstGraph(t testing.TB, seed int64) *graph.Graph {
+	t.Helper()
+	cfg := topology.Default()
+	cfg.Users = 10
+	cfg.Switches = 24
+	cfg.SwitchQubits = 4
+	g, err := topology.Generate(cfg, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("topology: %v", err)
+	}
+	return g
+}
+
+// submitBurst fires submitters goroutines of perG requests each at the
+// server (random 2-3 user sets, hour-long TTLs so nothing expires mid-test)
+// and returns the accept/reject counts.
+func submitBurst(t *testing.T, s *Server, g *graph.Graph, submitters, perG int) (accepted, rejected int64) {
+	t.Helper()
+	users := g.Users()
+	var acc, rej atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perG; i++ {
+				size := 2 + rng.Intn(2)
+				perm := rng.Perm(len(users))
+				set := make([]graph.NodeID, size)
+				for j := range set {
+					set[j] = users[perm[j]]
+				}
+				for {
+					_, err := s.Submit(context.Background(), set, time.Hour)
+					switch {
+					case err == nil:
+						acc.Add(1)
+					case errors.Is(err, core.ErrInfeasible):
+						rej.Add(1)
+					case errors.Is(err, ErrQueueFull):
+						time.Sleep(100 * time.Microsecond)
+						continue
+					default:
+						t.Errorf("Submit: %v", err)
+					}
+					break
+				}
+			}
+		}(int64(1000 + w))
+	}
+	wg.Wait()
+	return acc.Load(), rej.Load()
+}
+
+// TestConcurrentSubmitRevalidation is the qrecover-style cross-check for
+// concurrent submitters: after a burst from 8 goroutines, the server's
+// state dump must pass VerifyState — every admitted tree revalidates
+// against the topology, and re-reserving every session's channels on a
+// fresh ledger reproduces the live per-switch occupancy exactly. A decide
+// that double-booked a qubit breaks the occupancy re-derivation. Run under
+// -race this also exercises the queue, batch-fill and decide
+// synchronization.
+func TestConcurrentSubmitRevalidation(t *testing.T) {
+	g := burstGraph(t, 11)
+	s := newTestServer(t, Config{
+		Graph:    g,
+		MaxBatch: 8,
+		MaxTTL:   time.Hour,
+	})
+
+	accepted, rejected := submitBurst(t, s, g, 8, 25)
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("degenerate burst (%d accepts, %d rejects) — retune the workload", accepted, rejected)
+	}
+
+	st := s.StateDump()
+	if got := int64(len(st.Sessions)); got != accepted {
+		t.Fatalf("%d live sessions for %d accepts", got, accepted)
+	}
+	if err := VerifyState(g, quantum.DefaultParams(), st); err != nil {
+		t.Fatalf("revalidation after concurrent admission: %v", err)
+	}
+	m := s.Metrics()
+	if m.Requests.Accepted != accepted || m.Requests.Rejected != rejected {
+		t.Fatalf("request counters %d/%d vs observed %d/%d",
+			m.Requests.Accepted, m.Requests.Rejected, accepted, rejected)
+	}
 }

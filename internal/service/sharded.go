@@ -24,12 +24,13 @@ import (
 
 // This file is the sharded admission plane (DESIGN.md §9). The topology is
 // partitioned into K regions (topology.PartitionRegions); each region gets a
-// full admission Server of its own — queue, scheduler, ledger, expiry wheel,
-// WAL stream and snapshot directory — over a masked clone of the topology in
-// which every foreign switch has zero qubits, confining its solves to its
-// region. A thin router classifies each request by its users' regions:
+// full admission Server of its own — queue, admission loop, ledger, expiry
+// wheel, WAL stream and snapshot directory — over a masked clone of the
+// topology in which every foreign switch has zero qubits, confining its
+// solves to its region. A thin router classifies each request by its users'
+// regions:
 //
-//   - single-region sessions go straight to that shard's scheduler. No
+//   - single-region sessions go straight to that shard's queue. No
 //     router lock, no coordination — shards admit in parallel.
 //   - cross-region sessions are solved by the router against a stitched
 //     full-topology view of every shard's budgets and committed under a
@@ -53,7 +54,7 @@ import (
 
 // ShardedConfig parameterizes a ShardedServer. The embedded Config is the
 // template every shard Server is built from (Graph must be the full
-// topology; DataDir, scheduler, queue and TTL knobs apply per shard).
+// topology; DataDir, batch, queue and TTL knobs apply per shard).
 type ShardedConfig struct {
 	Config
 	// Shards is the number of regions the topology is partitioned into.
@@ -246,7 +247,7 @@ func (s *ShardedServer) Shards() int { return len(s.shards) }
 func (s *ShardedServer) RegionGraphOf(r int) *graph.Graph { return s.regions[r] }
 
 // Submit routes one session request: single-region user sets go straight to
-// their shard's scheduler, cross-region sets through the two-phase
+// their shard's queue, cross-region sets through the two-phase
 // coordinator. Outcomes match Server.Submit.
 func (s *ShardedServer) Submit(ctx context.Context, users []graph.NodeID, ttl time.Duration) (SessionInfo, error) {
 	return s.SubmitTenant(ctx, "", users, ttl)
@@ -860,78 +861,6 @@ func aggregateDurability(shards []Metrics) *DurabilityMetrics {
 	return out
 }
 
-// aggregateSpeculation folds per-shard speculation sections; nil when every
-// shard runs the serial scheduler.
-func aggregateSpeculation(shards []Metrics) *SpeculationMetrics {
-	var out *SpeculationMetrics
-	var weighted float64
-	for _, m := range shards {
-		sp := m.Speculation
-		if sp == nil {
-			continue
-		}
-		if out == nil {
-			out = &SpeculationMetrics{Workers: sp.Workers, Retries: sp.Retries}
-		}
-		out.Solves += sp.Solves
-		out.Commits += sp.Commits
-		out.Rejects += sp.Rejects
-		out.CacheHits += sp.CacheHits
-		out.Conflicts += sp.Conflicts
-		out.Resolves += sp.Resolves
-		out.Fallbacks += sp.Fallbacks
-		if sp.MaxParallel > out.MaxParallel {
-			out.MaxParallel = sp.MaxParallel
-		}
-		weighted += sp.MeanBatchParallelism * float64(sp.Solves)
-	}
-	if out != nil {
-		if out.Solves > 0 {
-			out.WastedSolveRatio = float64(out.Conflicts) / float64(out.Solves)
-			out.MeanBatchParallelism = weighted / float64(out.Solves)
-		}
-	}
-	return out
-}
-
-// aggregateSolveCache folds per-shard solve-cache sections (capacities and
-// counters sum; the hit rate is recomputed over the totals); nil when every
-// shard runs with the cache disabled.
-func aggregateSolveCache(shards []Metrics) *SolveCacheMetrics {
-	var out *SolveCacheMetrics
-	for _, m := range shards {
-		if m.SolveCache == nil {
-			continue
-		}
-		if out == nil {
-			out = &SolveCacheMetrics{}
-		}
-		out.add(m.SolveCache)
-	}
-	if out != nil {
-		out.finish()
-	}
-	return out
-}
-
-// aggregateFootprintPool folds per-shard footprint-pool sections.
-func aggregateFootprintPool(shards []Metrics) *FootprintPoolMetrics {
-	var out *FootprintPoolMetrics
-	for _, m := range shards {
-		if m.FootprintPool == nil {
-			continue
-		}
-		if out == nil {
-			out = &FootprintPoolMetrics{}
-		}
-		out.add(m.FootprintPool)
-	}
-	if out != nil {
-		out.finish()
-	}
-	return out
-}
-
 // Metrics snapshots every shard plus the router and aggregates them. Summed
 // counters are exact (cross-region sessions are homed on — and counted by —
 // exactly one shard); the aggregate peak is the sum of per-shard peaks,
@@ -997,9 +926,6 @@ func (s *ShardedServer) Metrics() ShardedMetrics {
 	}
 	agg.Admission.Work = work
 	agg.Durability = aggregateDurability(shardM)
-	agg.Speculation = aggregateSpeculation(shardM)
-	agg.SolveCache = aggregateSolveCache(shardM)
-	agg.FootprintPool = aggregateFootprintPool(shardM)
 	agg.Tenants = aggregateTenants(shardM)
 
 	single, cross := s.singleRegion.Load(), s.crossRegion.Load()

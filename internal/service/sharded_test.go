@@ -121,7 +121,6 @@ func TestShardedDifferential(t *testing.T) {
 				MaxBatch:  1,
 				MaxTTL:    1000 * time.Hour,
 				Clock:     fc,
-				Scheduler: SchedulerSerial,
 			}
 		}
 
@@ -639,9 +638,9 @@ func TestShardedRecoveryMatchesLiveState(t *testing.T) {
 // BenchmarkShardedAdmission sweeps the shard count over a four-cluster
 // bridged topology with region-local traffic plus a 20% cross-region mix:
 // the shardsN / shards1 ratio is the sharding speedup (independent shard
-// locks and schedulers), and the cross rows cost two-phase commits. Like
-// the speculative sweep, it needs GOMAXPROCS >= N to show a speedup — on
-// one core it measures router overhead instead.
+// locks and admission loops), and the cross rows cost two-phase commits. It
+// needs GOMAXPROCS >= N to show a speedup — on one core it measures router
+// overhead instead.
 func BenchmarkShardedAdmission(b *testing.B) {
 	for _, bench := range []struct {
 		name    string

@@ -8,7 +8,6 @@
 # Environment knobs:
 #   SESSIONS  number of replayed sessions   (default 60)
 #   UNIT      real duration of one workload time unit (default 5ms)
-#   WORKERS   muerpd admission workers      (default 2)
 #   SHARDS    admission shards              (default 1)
 #   GO        go binary                     (default go)
 set -euo pipefail
@@ -16,7 +15,6 @@ set -euo pipefail
 GO=${GO:-go}
 SESSIONS=${SESSIONS:-60}
 UNIT=${UNIT:-5ms}
-WORKERS=${WORKERS:-2}
 SHARDS=${SHARDS:-1}
 
 workdir=$(mktemp -d)
@@ -42,9 +40,9 @@ cat >"$workdir/tenants.json" <<'EOF'
 ]}
 EOF
 
-echo "smoke-qos: starting muerpd with a two-tenant policy (workers=$WORKERS shards=$SHARDS)"
+echo "smoke-qos: starting muerpd with a two-tenant policy (shards=$SHARDS)"
 "$workdir/muerpd" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
-  -users 8 -switches 16 -qubits 8 -ttl 2s -workers "$WORKERS" -shards "$SHARDS" \
+  -users 8 -switches 16 -qubits 8 -ttl 2s -shards "$SHARDS" \
   -qos-config "$workdir/tenants.json" \
   >"$workdir/muerpd.log" 2>&1 &
 daemon_pid=$!

@@ -6,8 +6,6 @@
 # Environment knobs:
 #   SESSIONS  number of replayed sessions   (default 50)
 #   UNIT      real duration of one workload time unit (default 5ms)
-#   WORKERS   muerpd admission workers      (default 4 — exercises the
-#             speculative scheduler regardless of runner core count)
 #   SHARDS    admission shards              (default 1; >1 partitions the
 #             topology and routes through the sharded admission plane)
 #   GO        go binary                     (default go)
@@ -16,7 +14,6 @@ set -euo pipefail
 GO=${GO:-go}
 SESSIONS=${SESSIONS:-50}
 UNIT=${UNIT:-5ms}
-WORKERS=${WORKERS:-4}
 SHARDS=${SHARDS:-1}
 
 workdir=$(mktemp -d)
@@ -33,9 +30,9 @@ echo "smoke: building muerpd and qload"
 "$GO" build -o "$workdir/muerpd" ./cmd/muerpd
 "$GO" build -o "$workdir/qload" ./cmd/qload
 
-echo "smoke: starting muerpd on a random port (workers=$WORKERS shards=$SHARDS)"
+echo "smoke: starting muerpd on a random port (shards=$SHARDS)"
 "$workdir/muerpd" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
-  -users 8 -switches 16 -ttl 2s -workers "$WORKERS" -shards "$SHARDS" \
+  -users 8 -switches 16 -ttl 2s -shards "$SHARDS" \
   >"$workdir/muerpd.log" 2>&1 &
 daemon_pid=$!
 
@@ -59,18 +56,10 @@ if [[ -z "$addr" ]]; then
 fi
 echo "smoke: daemon at $addr"
 
-# The load driver itself gates on at least one accepted session. With
-# workers > 1 the speculative scheduler must be active and reporting its
-# counters through /metrics (qload prints them as a "speculation:" line).
+# The load driver itself gates on at least one accepted session.
 qload_out="$workdir/qload.out"
 "$workdir/qload" -addr "$addr" -sessions "$SESSIONS" -unit "$UNIT" -min-accepted 1 \
   | tee "$qload_out"
-if [[ "$WORKERS" -gt 1 ]]; then
-  grep -q "^speculation: " "$qload_out" || {
-    echo "smoke: workers=$WORKERS but no speculation counters in qload output" >&2
-    exit 1
-  }
-fi
 # Against a sharded daemon, qload must detect the partition and print both
 # the per-shard breakdown and the router's two-phase-commit counters.
 if [[ "$SHARDS" -gt 1 ]]; then
