@@ -24,9 +24,9 @@ vet:
 # durability wiring + sharded two-phase router, qos's tenant scheduler and
 # token buckets (hit from every submitting goroutine), the WAL's
 # group-commit loop and snapshotter, topology's partitioner (read
-# concurrently by shards), and timesim's parallel slot advance (sessions
-# fan out across workers each slot; workload rides along as its request
-# source).
+# concurrently by shards), and timesim's look-ahead seeder (one goroutine
+# seeding session RNG streams beside the slot loop; workload rides along as
+# its request source).
 race:
 	$(GO) test -race ./internal/core ./internal/sim ./internal/quantum \
 		./internal/service ./internal/qos ./internal/wal ./internal/snapshot \
@@ -44,8 +44,9 @@ perfbench-build:
 tier1: build test vet race perfbench-build
 
 # bench refreshes BENCH_kernel.json's "$(BENCH_LABEL)" run: the channel
-# search kernel + solver microbenches (with allocation counts) and the two
-# headline figure benches. Compare runs with `benchstat` on the raw text
+# search kernel + solver microbenches (with allocation counts), the two
+# headline figure benches and one qsim-flash slot-engine job
+# (BenchmarkRunFlash, serial and with the look-ahead seeder). Compare runs with `benchstat` on the raw text
 # outputs left in $(BENCH_TMP). See EXPERIMENTS.md for the protocol.
 bench:
 	mkdir -p $(BENCH_TMP)
@@ -55,8 +56,11 @@ bench:
 		-benchmem -benchtime 2s ./internal/core | tee $(BENCH_TMP)/engine.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Topology|BenchmarkFig6aUsers' \
 		-benchmem -benchtime 2x . | tee $(BENCH_TMP)/figs.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkRunFlash' \
+		-benchmem -benchtime 20x ./internal/timesim | tee $(BENCH_TMP)/timesim.txt
 	$(GO) run ./cmd/benchreport -label $(BENCH_LABEL) -o $(BENCH_OUT) \
-		$(BENCH_TMP)/kernel.txt $(BENCH_TMP)/engine.txt $(BENCH_TMP)/figs.txt
+		$(BENCH_TMP)/kernel.txt $(BENCH_TMP)/engine.txt $(BENCH_TMP)/figs.txt \
+		$(BENCH_TMP)/timesim.txt
 
 # bench-service refreshes the "footprint" run: the end-to-end admission
 # loop across batch sizes and durability, the solve-bound big-workers1

@@ -21,7 +21,8 @@
 //	-alg           admission scheme: greedy or a solver registry name
 //	-fail-prob     per-fiber per-slot failure probability (default 0)
 //	-repair-slots  slots a failed fiber stays down (default 25)
-//	-parallel      session-advance workers; results identical at any value
+//	-parallel      > 1 seeds session RNG streams on a look-ahead goroutine;
+//	               results identical at any value
 //	-sweep-ttl     comma list of TTLs: emit a delivered-rate-vs-TTL CSV
 //	-window        slots per load-trace bucket: emit a windowed CSV
 //	-out           CSV destination for -sweep-ttl / -window
@@ -79,7 +80,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		alg      = fs.String("alg", timesim.GreedyAlgorithm, "admission scheme: greedy or a solver name")
 		failProb = fs.Float64("fail-prob", 0, "per-fiber per-slot failure probability")
 		repSlots = fs.Int("repair-slots", 25, "slots a failed fiber stays down (<= 0: permanent)")
-		parallel = fs.Int("parallel", goruntime.GOMAXPROCS(0), "session-advance workers")
+		parallel = fs.Int("parallel", goruntime.GOMAXPROCS(0), "> 1 seeds session RNG streams on a look-ahead goroutine (results identical at any value)")
 		sweepTTL = fs.String("sweep-ttl", "", "comma-separated TTL list for a delivered-rate sweep CSV")
 		window   = fs.Int("window", 0, "slots per load-trace CSV bucket (0 disables)")
 		outPath  = fs.String("out", "", "CSV destination for -sweep-ttl / -window")

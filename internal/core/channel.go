@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/quantum"
@@ -18,11 +19,20 @@ import (
 //
 // Every routing algorithm (2-4 and the baselines) reduces to repeated runs
 // of this kernel, so it is engineered to allocate nothing per search: the
-// edge weights are computed once per Problem (not once per relaxation), and
-// each searching goroutine checks a searchCtx out of the Problem's pool,
+// edge weights are computed once per engine (not once per relaxation), and
+// each searching goroutine checks a searchCtx out of the engine's pool,
 // reusing the Dijkstra arrays, the heap and the path-reconstruction buffer
 // across runs. Only the transit filter stays dynamic, because ledger-gated
 // capacity changes between searches.
+
+// engine is the search engine of one graph under one rate model, shared by
+// every Problem derived from the same template (Problem.WithUsers). It is
+// built lazily on the first search.
+type engine struct {
+	once    sync.Once
+	weights []float64 // weight of edge e under the Algorithm 1 metric
+	ctxs    sync.Pool // of *searchCtx, one per concurrently searching goroutine
+}
 
 // searchCtx is the per-goroutine scratch of the channel-search kernel: a
 // reusable single-source engine plus a path buffer for channel extraction.
@@ -36,33 +46,29 @@ type searchCtx struct {
 	fresh bool
 }
 
-// engineInit lazily builds the Problem's search engine: the precomputed
-// Algorithm 1 edge weights and the searchCtx pool.
-func (p *Problem) engineInit() {
-	p.engineOnce.Do(func() {
-		w := make([]float64, p.Graph.NumEdges())
-		for e := range w {
-			w[e] = p.Params.EdgeWeight(p.Graph.Edge(graph.EdgeID(e)).Length)
-		}
-		p.edgeWeights = w
-		p.searchers.New = func() any {
-			return &searchCtx{s: graph.NewSearcher(p.Graph), path: make([]graph.NodeID, 0, 16), fresh: true}
-		}
-	})
-}
-
-// acquireCtx checks a search context out of the pool, recording the
-// hit/miss in st. Callers must return it with releaseCtx once no
+// acquireCtx checks a search context out of the engine's pool, recording
+// the hit/miss in st. Callers must return it with releaseCtx once no
 // ShortestPaths produced through it is needed.
 func (p *Problem) acquireCtx(st *SolveStats) *searchCtx {
-	p.engineInit()
-	sc := p.searchers.Get().(*searchCtx)
+	e := p.eng
+	e.once.Do(func() {
+		w := make([]float64, p.Graph.NumEdges())
+		for i := range w {
+			w[i] = p.Params.EdgeWeight(p.Graph.Edge(graph.EdgeID(i)).Length)
+		}
+		e.weights = w
+		g := p.Graph
+		e.ctxs.New = func() any {
+			return &searchCtx{s: graph.NewSearcher(g), path: make([]graph.NodeID, 0, 16), fresh: true}
+		}
+	})
+	sc := e.ctxs.Get().(*searchCtx)
 	st.AddPool(!sc.fresh)
 	sc.fresh = false
 	return sc
 }
 
-func (p *Problem) releaseCtx(sc *searchCtx) { p.searchers.Put(sc) }
+func (p *Problem) releaseCtx(sc *searchCtx) { p.eng.ctxs.Put(sc) }
 
 // staticTransit is the ledger-free interior-vertex rule: switches with >= 2
 // installed qubits (the static Q >= 2 check on line 11 of the paper's
@@ -90,7 +96,16 @@ func (p *Problem) transitFunc(led *quantum.Ledger) graph.TransitFunc {
 // Prev array, exactly as the paper's complexity discussion prescribes; it
 // is valid until sc's next search.
 func (p *Problem) channelSearch(sc *searchCtx, src graph.NodeID, led *quantum.Ledger, st *SolveStats) *graph.ShortestPaths {
-	sp := sc.s.SearchWeights(src, p.edgeWeights, p.transitFunc(led))
+	sp := sc.s.SearchWeights(src, p.eng.weights, p.transitFunc(led))
+	st.AddSearch(sc.s.LastRelaxed())
+	return sp
+}
+
+// channelSearchTo is channelSearch stopped once every destination in dsts
+// is settled: only channels to dsts may be read from the result, and they
+// are bit-identical to channelSearch's.
+func (p *Problem) channelSearchTo(sc *searchCtx, src graph.NodeID, dsts []graph.NodeID, led *quantum.Ledger, st *SolveStats) *graph.ShortestPaths {
+	sp := sc.s.SearchWeightsTo(src, p.eng.weights, p.transitFunc(led), dsts)
 	st.AddSearch(sc.s.LastRelaxed())
 	return sp
 }
@@ -132,7 +147,7 @@ func (p *Problem) MaxRateChannel(src, dst graph.NodeID, led *quantum.Ledger, st 
 	}
 	sc := p.acquireCtx(st)
 	defer p.releaseCtx(sc)
-	return p.channelFromSearch(sc, p.channelSearch(sc, src, led, st), dst, st)
+	return p.channelFromSearch(sc, p.channelSearchTo(sc, src, []graph.NodeID{dst}, led, st), dst, st)
 }
 
 // UserChannel pairs a destination user with its max-rate channel, the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/quantum"
 	"github.com/muerp/quantumnet/internal/unionfind"
 )
@@ -165,6 +166,10 @@ type candCache struct {
 	// subtrahend of the SearchesSaved accounting its callers do.
 	searches int64
 	srcBuf   []int
+	// dstIdx/dstBuf hold computeSource's eligible destinations as user
+	// indices and as the node targets that bound its search.
+	dstIdx []int
+	dstBuf []graph.NodeID
 }
 
 // newCandCache seeds the cache with one search per currently eligible
@@ -198,19 +203,24 @@ func (c *candCache) rebuild(ctx context.Context, st *SolveStats) error {
 // computeSource runs source i's single-source search under the current
 // ledger and returns its best candidate over the currently eligible
 // destinations, with the exhaustive sweeps' tie-break (ascending j, strict
-// improvement). ok is false when no destination is reachable — the caller
-// then drops the source, which monotonicity makes permanent.
+// improvement). The search stops once every eligible destination is
+// settled. ok is false when no destination is reachable — the caller then
+// drops the source, which monotonicity makes permanent.
 func (c *candCache) computeSource(sc *searchCtx, i int, st *SolveStats) (cacheEntry, bool) {
 	epoch := c.led.Epoch()
-	sp := c.p.channelSearch(sc, c.p.Users[i], c.led, st)
+	c.dstIdx, c.dstBuf = c.dstIdx[:0], c.dstBuf[:0]
+	for j, u := range c.p.Users {
+		if c.targets.eligible(i, j) {
+			c.dstIdx = append(c.dstIdx, j)
+			c.dstBuf = append(c.dstBuf, u)
+		}
+	}
+	sp := c.p.channelSearchTo(sc, c.p.Users[i], c.dstBuf, c.led, st)
 	c.searches++
 	var best candidate
 	found := false
-	for j := range c.p.Users {
-		if !c.targets.eligible(i, j) {
-			continue
-		}
-		ch, ok := c.p.channelFromSearch(sc, sp, c.p.Users[j], st)
+	for k, j := range c.dstIdx {
+		ch, ok := c.p.channelFromSearch(sc, sp, c.dstBuf[k], st)
 		if !ok {
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/quantum"
@@ -18,20 +17,19 @@ import (
 // Problem is one MUERP instance: a quantum network, the set of users to
 // entangle, and the physical parameters that define link and swap rates.
 //
-// A Problem also owns the search engine its algorithms run on: the
-// Algorithm 1 edge weights (alpha*L - ln q) precomputed once per instance,
-// and a pool of reusable Dijkstra scratch buffers shared by every search
-// the instance performs (see channel.go). Both are built lazily on first
-// search, so a zero-extra-field construction stays valid; the graph's
-// topology and edge lengths must not change after the first search.
+// A Problem also carries the search engine its algorithms run on (see
+// channel.go): the Algorithm 1 edge weights (alpha*L - ln q) and a pool of
+// reusable Dijkstra scratch buffers. The engine belongs to the graph and
+// the params, not to the user set, so every Problem derived through
+// WithUsers shares it. Build Problems with NewProblem, AllUsersProblem or
+// WithUsers; Graph and Params must not change after construction, and the
+// graph's topology and edge lengths must not change after the first search.
 type Problem struct {
 	Graph  *graph.Graph
 	Users  []graph.NodeID
 	Params quantum.Params
 
-	engineOnce  sync.Once
-	edgeWeights []float64 // weight of edge e under the Algorithm 1 metric
-	searchers   sync.Pool // of *searchCtx, one per concurrently searching goroutine
+	eng *engine
 }
 
 // Problem construction and solving errors.
@@ -42,8 +40,8 @@ var (
 	ErrInfeasible = errors.New("core: no feasible entanglement tree exists")
 )
 
-// NewProblem validates and builds a MUERP instance. The user slice is
-// copied; callers keep ownership of theirs.
+// NewProblem validates and builds a MUERP instance with its own search
+// engine. The user slice is copied; callers keep ownership of theirs.
 func NewProblem(g *graph.Graph, users []graph.NodeID, p quantum.Params) (*Problem, error) {
 	if g == nil {
 		return nil, errors.New("core: nil graph")
@@ -51,6 +49,29 @@ func NewProblem(g *graph.Graph, users []graph.NodeID, p quantum.Params) (*Proble
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	us, err := checkUsers(g, users)
+	if err != nil {
+		return nil, err
+	}
+	return &Problem{Graph: g, Users: us, Params: p, eng: &engine{}}, nil
+}
+
+// WithUsers validates and builds the instance for another user set on the
+// same graph and params, sharing p's search engine: callers that route many
+// requests over one network (the admission loop, the slot engine) keep one
+// template Problem per graph and derive each request's from it, so no
+// request rebuilds the edge weights or allocates a Searcher. The user slice
+// is copied.
+func (p *Problem) WithUsers(users []graph.NodeID) (*Problem, error) {
+	us, err := checkUsers(p.Graph, users)
+	if err != nil {
+		return nil, err
+	}
+	return &Problem{Graph: p.Graph, Users: us, Params: p.Params, eng: p.eng}, nil
+}
+
+// checkUsers validates a user set against g and returns a private copy.
+func checkUsers(g *graph.Graph, users []graph.NodeID) ([]graph.NodeID, error) {
 	if len(users) == 0 {
 		return nil, ErrNoUsers
 	}
@@ -66,7 +87,7 @@ func NewProblem(g *graph.Graph, users []graph.NodeID, p quantum.Params) (*Proble
 	}
 	us := make([]graph.NodeID, len(users))
 	copy(us, users)
-	return &Problem{Graph: g, Users: us, Params: p}, nil
+	return us, nil
 }
 
 // AllUsersProblem builds a problem over every user node in the graph, the

@@ -22,9 +22,11 @@ var Unusable = math.Inf(1)
 // relaxation, exactly like Graph.Dijkstra. SearchWeights takes a
 // precomputed per-edge weight slice (indexed by EdgeID, Unusable = skip),
 // which lets callers that run many searches under one metric — the MUERP
-// kernel computes alpha*L - ln q once per problem instead of once per
+// kernel computes alpha*L - ln q once per graph instead of once per
 // relaxation. Transit filtering stays dynamic in both forms, because
-// ledger-gated capacity changes between searches.
+// ledger-gated capacity changes between searches. SearchWeightsTo is the
+// target-bounded form of SearchWeights: it stops once the given targets are
+// settled.
 //
 // The ShortestPaths returned by a Searcher aliases the Searcher's buffers:
 // it is valid until the next Search/SearchWeights call on the same
@@ -34,6 +36,7 @@ type Searcher struct {
 	g       *Graph
 	heap    *pq.IndexedMinHeap
 	settled []bool
+	target  []bool // marks the unsettled targets of a SearchWeightsTo run
 	touched []NodeID
 	sp      ShortestPaths
 	relaxed int64
@@ -53,6 +56,7 @@ func NewSearcher(g *Graph) *Searcher {
 		g:       g,
 		heap:    pq.NewIndexedMinHeap(n),
 		settled: make([]bool, n),
+		target:  make([]bool, n),
 		touched: make([]NodeID, 0, n),
 		sp: ShortestPaths{
 			g:    g,
@@ -73,7 +77,7 @@ func (s *Searcher) Search(src NodeID, weight WeightFunc, transit TransitFunc) *S
 	if weight == nil {
 		panic("graph: Dijkstra needs a weight function")
 	}
-	return s.search(src, nil, weight, transit)
+	return s.search(src, nil, weight, transit, nil)
 }
 
 // SearchWeights runs Dijkstra from src with precomputed edge weights:
@@ -83,16 +87,44 @@ func (s *Searcher) SearchWeights(src NodeID, weights []float64, transit TransitF
 	if len(weights) != s.g.NumEdges() {
 		panic(fmt.Sprintf("graph: SearchWeights got %d weights for %d edges", len(weights), s.g.NumEdges()))
 	}
-	return s.search(src, weights, nil, transit)
+	return s.search(src, weights, nil, transit, nil)
+}
+
+// SearchWeightsTo is SearchWeights bounded by targets: the run stops as soon
+// as every target is settled. The pop order is the full run's, and a settled
+// node's distance and predecessor are final, so for every target (and every
+// node on a path to one) the result is bit-identical to SearchWeights. Other
+// nodes may be left unsettled: only the targets may be read. A run with no
+// targets settles nothing beyond the source.
+func (s *Searcher) SearchWeightsTo(src NodeID, weights []float64, transit TransitFunc, targets []NodeID) *ShortestPaths {
+	if len(weights) != s.g.NumEdges() {
+		panic(fmt.Sprintf("graph: SearchWeights got %d weights for %d edges", len(weights), s.g.NumEdges()))
+	}
+	if targets == nil {
+		targets = []NodeID{}
+	}
+	return s.search(src, weights, nil, transit, targets)
 }
 
 // search is the shared relaxation loop. Exactly one of weights and weight
-// is set. The loop body is kept identical to the historical Graph.Dijkstra
-// so the two entry points produce bit-identical distances and predecessors.
-func (s *Searcher) search(src NodeID, weights []float64, weight WeightFunc, transit TransitFunc) *ShortestPaths {
+// is set; a non-nil targets bounds the run (see SearchWeightsTo). The loop
+// body is kept identical to the historical Graph.Dijkstra so every entry
+// point produces bit-identical distances and predecessors.
+func (s *Searcher) search(src NodeID, weights []float64, weight WeightFunc, transit TransitFunc, targets []NodeID) *ShortestPaths {
 	g := s.g
 	if !g.HasNode(src) {
 		panic(fmt.Sprintf("graph: Dijkstra from unknown node %d", src))
+	}
+	bounded := targets != nil
+	left := 0
+	for _, v := range targets {
+		if !g.HasNode(v) {
+			panic(fmt.Sprintf("graph: Dijkstra to unknown node %d", v))
+		}
+		if !s.target[v] {
+			s.target[v] = true
+			left++
+		}
 	}
 
 	// Undo the previous run in O(touched): only nodes that run assigned a
@@ -117,6 +149,15 @@ func (s *Searcher) search(src NodeID, weights []float64, weight WeightFunc, tran
 		}
 		v := NodeID(item)
 		s.settled[v] = true
+		if bounded {
+			if s.target[v] {
+				s.target[v] = false
+				left--
+			}
+			if left == 0 {
+				break
+			}
+		}
 		// A settled non-source node that may not relay still keeps its
 		// distance (it is a valid destination) but must not expand.
 		if v != src && transit != nil && !transit(g.nodes[v]) {
@@ -153,6 +194,12 @@ func (s *Searcher) search(src NodeID, weights []float64, weight WeightFunc, tran
 				s.sp.prev[h.to] = v
 				s.heap.PushOrDecrease(int(h.to), nd)
 			}
+		}
+	}
+	// Targets the run never reached are still marked.
+	if left > 0 {
+		for _, v := range targets {
+			s.target[v] = false
 		}
 	}
 	return &s.sp

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -167,5 +168,72 @@ func TestAppendPathTo(t *testing.T) {
 	out, ok = sp2.AppendPathTo(prefix, 1)
 	if ok || len(out) != 1 {
 		t.Fatalf("unreachable AppendPathTo = (%v, %v), want prefix unchanged", out, ok)
+	}
+}
+
+// TestSearchWeightsToMatchesFull is the target-bounded property test: on
+// random small graphs whose edge lengths come from a three-value set (so
+// equal-distance ties are everywhere), a SearchWeightsTo run must give every
+// target the full SearchWeights run's distance, predecessor and path. One
+// bounded Searcher serves every run, so an early stop must also leave no
+// state behind for the next.
+func TestSearchWeightsToMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	transit := func(n Node) bool { return n.Kind == KindSwitch && n.Qubits >= 2 }
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(14)
+		g := New(n, 2*n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				g.AddUser(0, 0)
+			} else {
+				g.AddSwitch(0, 0, 1+rng.Intn(3))
+			}
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.4 {
+					g.MustAddEdge(NodeID(i), NodeID(j), float64(1+rng.Intn(3)))
+				}
+			}
+		}
+		weights := make([]float64, g.NumEdges())
+		for e := range weights {
+			weights[e] = g.Edge(EdgeID(e)).Length
+			if rng.Float64() < 0.1 {
+				weights[e] = Unusable
+			}
+		}
+		full, bounded := NewSearcher(g), NewSearcher(g)
+		for src := 0; src < n; src++ {
+			var targets []NodeID
+			for v := 0; v < n; v++ {
+				if rng.Float64() < 0.3 {
+					targets = append(targets, NodeID(v))
+				}
+			}
+			if len(targets) > 0 && rng.Intn(4) == 0 {
+				targets = append(targets, targets[0]) // duplicates count once
+			}
+			for _, tr := range []TransitFunc{nil, transit} {
+				want := full.SearchWeights(NodeID(src), weights, tr)
+				got := bounded.SearchWeightsTo(NodeID(src), weights, tr, targets)
+				for _, v := range targets {
+					wd, wok := want.DistTo(v)
+					gd, gok := got.DistTo(v)
+					if wok != gok || math.Float64bits(wd) != math.Float64bits(gd) {
+						t.Fatalf("trial %d src %d target %d: dist (%g, %v) vs full (%g, %v)", trial, src, v, gd, gok, wd, wok)
+					}
+					if want.Prev(v) != got.Prev(v) {
+						t.Fatalf("trial %d src %d target %d: prev %d vs full %d", trial, src, v, got.Prev(v), want.Prev(v))
+					}
+					wp, wok := want.AppendPathTo(nil, v)
+					gp, gok := got.AppendPathTo(nil, v)
+					if wok != gok || !slices.Equal(wp, gp) {
+						t.Fatalf("trial %d src %d target %d: path %v (%v) vs full %v (%v)", trial, src, v, gp, gok, wp, wok)
+					}
+				}
+			}
+		}
 	}
 }

@@ -264,6 +264,9 @@ type Server struct {
 	clock Clock
 	start time.Time
 	total int // total switch qubits in the topology
+	// tmpl is the all-users Problem on cfg.Graph; every request's Problem
+	// is derived from it and shares its search engine.
+	tmpl *core.Problem
 
 	quit   chan struct{}
 	kick   chan struct{} // wakes the expiry wheel when the agenda changes
@@ -307,11 +310,17 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Graph.Users()) < 2 {
+	users := cfg.Graph.Users()
+	if len(users) < 2 {
 		return nil, errors.New("service: topology has fewer than 2 users")
+	}
+	tmpl, err := core.NewProblem(cfg.Graph, users, cfg.Params)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
+		tmpl:     tmpl,
 		clock:    cfg.Clock,
 		start:    cfg.Clock.Now(),
 		led:      quantum.NewLedger(cfg.Graph),
@@ -392,7 +401,7 @@ func (s *Server) SubmitTenant(ctx context.Context, tenant string, users []graph.
 	}
 	// Problems are built (and validated) outside the admission loop so the
 	// serial section only runs the solver.
-	prob, err := core.NewProblem(s.cfg.Graph, users, s.cfg.Params)
+	prob, err := s.tmpl.WithUsers(users)
 	if err != nil {
 		s.ctrs.invalid.Add(1)
 		return SessionInfo{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)

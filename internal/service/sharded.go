@@ -73,7 +73,8 @@ type ShardedConfig struct {
 // everything.
 type ShardedServer struct {
 	g       *graph.Graph
-	base    Config // defaults applied; template the shards were built from
+	tmpl    *core.Problem // all-users Problem on g, cross-region requests' template
+	base    Config        // defaults applied; template the shards were built from
 	retries int
 	part    *topology.Partition
 	clock   Clock
@@ -191,6 +192,10 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 	if err != nil {
 		return nil, err
 	}
+	tmpl, err := core.AllUsersProblem(cfg.Graph, base.Params)
+	if err != nil {
+		return nil, err
+	}
 	if base.DataDir != "" {
 		if err := pinEnvironment(base.DataDir, cfg.Graph, base.Params, base.QoS); err != nil {
 			return nil, err
@@ -202,6 +207,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 
 	s := &ShardedServer{
 		g:        cfg.Graph,
+		tmpl:     tmpl,
 		base:     base,
 		retries:  cfg.CrossRetries,
 		part:     part,
@@ -309,7 +315,7 @@ func (s *ShardedServer) submitCross(ctx context.Context, tenant string, users []
 	}
 	t0 := time.Now()
 	defer func() { stat.note(err, time.Since(t0)) }()
-	prob, err := core.NewProblem(s.g, users, s.base.Params)
+	prob, err := s.tmpl.WithUsers(users)
 	if err != nil {
 		pr.ctrs.invalid.Add(1)
 		return SessionInfo{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)

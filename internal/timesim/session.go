@@ -46,8 +46,8 @@ type chanState struct {
 }
 
 // session is one admitted request's live state. After admission a session
-// is touched only by its own advance calls (own RNG, own counters), so
-// sessions advance in parallel without synchronization.
+// is touched only by its own advance calls (own RNG, own counters), so the
+// order in which sessions advance within a slot never matters.
 type session struct {
 	id         int
 	users      []graph.NodeID

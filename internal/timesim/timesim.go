@@ -11,8 +11,9 @@
 // and are locally repaired through internal/repair when a fiber failure
 // breaks a committed tree. Runs are bit-deterministic for a seed at any
 // parallelism: each session advances on its own derived RNG stream, and
-// all shared state (the qubit ledger, admission, repair) is mutated only
-// by the coordinator between slot barriers.
+// the coordinator alone advances sessions and mutates shared state (the
+// qubit ledger, admission, repair). The only other goroutine is an optional
+// look-ahead helper that seeds upcoming sessions' RNG streams (streams.go).
 package timesim
 
 import (
@@ -23,7 +24,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/fidelity"
@@ -69,8 +69,10 @@ type Config struct {
 	// RepairSlots is how many slots a failed fiber stays down; <= 0 means
 	// failures are permanent.
 	RepairSlots int
-	// Parallelism bounds the workers advancing session dynamics; <= 0
-	// means runtime.GOMAXPROCS(0). Results are identical at any value.
+	// Parallelism > 1 runs one look-ahead goroutine beside the coordinator
+	// that seeds upcoming sessions' RNG streams; 1 runs everything on the
+	// coordinator. <= 0 means runtime.GOMAXPROCS(0). Results are identical
+	// at any value.
 	Parallelism int
 	// WindowSlots > 0 emits a Report.Windows bucket every that many slots.
 	WindowSlots int
@@ -135,34 +137,25 @@ func (t *traceHash) fold(v uint64) {
 	}
 }
 
-// seedStream derives stream i of the run seed (splitmix64), so the control,
-// admission and per-session RNGs never share state.
-func seedStream(seed int64, i int64) *rand.Rand {
-	z := uint64(seed) + 0x9E3779B97F4A7C15*uint64(i+1)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
-}
-
-// sessionStream reserves streams 16+ for sessions.
-func sessionStream(seed int64, id int) *rand.Rand { return seedStream(seed, 16+int64(id)) }
-
 // engine is the per-run state. All fields are coordinator-owned; sessions
 // only ever touch themselves.
 type engine struct {
-	cfg    Config
-	base   *graph.Graph
-	edges  []graph.Edge // base's fibers, indexed by EdgeID
-	cur    *graph.Graph // base minus the currently failed fibers
-	led    *quantum.Ledger
-	ctrl   *rand.Rand // fiber failures
-	admit  *rand.Rand // RNG-consuming admission solvers
-	active []*session
-	down   map[graph.EdgeID]int // base edge ID -> recovery slot
-	hash   *traceHash
-	rep    Report
-	win    Window
+	cfg   Config
+	base  *graph.Graph
+	edges []graph.Edge // base's fibers, indexed by EdgeID
+	cur   *graph.Graph // base minus the currently failed fibers
+	// tmpl is the greedy scheme's template Problem on cur, whose search
+	// engine every admission shares; nil until the first admission on cur.
+	tmpl    *core.Problem
+	led     *quantum.Ledger
+	ctrl    *rand.Rand // fiber failures
+	admit   *rand.Rand // RNG-consuming admission solvers
+	streams *streams   // session RNG streams
+	active  []*session
+	down    []int // per base EdgeID: recovery slot of a failed fiber, 0 = up
+	hash    *traceHash
+	rep     Report
+	win     Window
 }
 
 // Run executes the slotted simulation over the request stream. Request
@@ -201,11 +194,12 @@ func Run(ctx context.Context, cfg Config, reqs []sched.Request) (Report, error) 
 		led:   quantum.NewLedger(cfg.Graph),
 		ctrl:  seedStream(cfg.Seed, 1),
 		admit: seedStream(cfg.Seed, 2),
-		down:  map[graph.EdgeID]int{},
+		down:  make([]int, cfg.Graph.NumEdges()),
 		hash:  newTraceHash(),
 		rep:   Report{Slots: cfg.Slots},
 	}
-	e.win = Window{}
+	e.streams = newStreams(cfg.Seed, ordered, cfg.Parallelism > 1)
+	defer e.streams.stop()
 
 	next := 0
 	for t := 0; t < cfg.Slots; t++ {
@@ -227,9 +221,9 @@ func Run(ctx context.Context, cfg Config, reqs []sched.Request) (Report, error) 
 		if len(e.active) > e.rep.PeakActive {
 			e.rep.PeakActive = len(e.active)
 		}
-		e.advanceAll()
 		delivered := 0
 		for _, s := range e.active {
+			s.advance(cfg.Params, cfg.Fid, cfg.MemoryTTL, cfg.MinFidelity)
 			delivered += s.deliveredThisSlot
 			s.deliveredThisSlot = 0
 		}
@@ -267,8 +261,11 @@ func (e *engine) flushWindow(start int) {
 	e.win = Window{}
 }
 
-// finalize folds a departing session's dynamics into the report and hash.
+// finalize folds a departing session's dynamics into the report and hash
+// and recycles its RNG stream.
 func (e *engine) finalize(s *session) {
+	e.streams.recycle(s.rng)
+	s.rng = nil
 	ct := s.ct
 	e.rep.LinkAttempts += ct.linkAttempts
 	e.rep.LinkSuccesses += ct.linkSuccesses
@@ -301,19 +298,18 @@ func (e *engine) expire(t int) {
 }
 
 // fiberEvents recovers due fibers, samples new failures, and repairs (or
-// drops) every committed tree a newly failed fiber broke.
+// drops) every committed tree a newly failed fiber broke. Failures are
+// sampled in edge-ID order from the control stream.
 func (e *engine) fiberEvents(ctx context.Context, t int) error {
 	changed := false
-	for id, until := range e.down {
-		if until <= t {
-			delete(e.down, id)
+	for _, edge := range e.edges {
+		if until := e.down[edge.ID]; until != 0 {
+			if until > t {
+				continue
+			}
+			e.down[edge.ID] = 0
 			e.rep.EdgeRecoveries++
 			changed = true
-		}
-	}
-	for _, edge := range e.edges {
-		if _, isDown := e.down[edge.ID]; isDown {
-			continue
 		}
 		if e.ctrl.Float64() < e.cfg.FailProb {
 			until := math.MaxInt
@@ -330,28 +326,20 @@ func (e *engine) fiberEvents(ctx context.Context, t int) error {
 	if !changed {
 		return nil
 	}
-	ids := make([]graph.EdgeID, 0, len(e.down))
-	for id := range e.down {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.cur = e.base.WithoutEdges(ids)
-
-	gone := make(map[[2]graph.NodeID]bool, len(ids))
-	downEdges := make([]graph.Edge, 0, len(ids))
-	for _, id := range ids {
-		edge := e.edges[id]
-		a, b := edge.A, edge.B
-		if a > b {
-			a, b = b, a
+	var ids []graph.EdgeID
+	var downEdges []graph.Edge
+	for _, edge := range e.edges {
+		if e.down[edge.ID] != 0 {
+			ids = append(ids, edge.ID)
+			downEdges = append(downEdges, edge)
 		}
-		gone[[2]graph.NodeID{a, b}] = true
-		downEdges = append(downEdges, edge)
 	}
+	e.cur = e.base.WithoutEdges(ids)
+	e.tmpl = nil
 
 	kept := e.active[:0]
 	for _, s := range e.active {
-		if !treeBroken(s.tree, gone) {
+		if !e.treeBroken(s.tree) {
 			kept = append(kept, s)
 			continue
 		}
@@ -380,14 +368,11 @@ func (e *engine) fiberEvents(ctx context.Context, t int) error {
 	return nil
 }
 
-func treeBroken(tree quantum.Tree, gone map[[2]graph.NodeID]bool) bool {
+// treeBroken reports whether any hop of the tree runs over a failed fiber.
+func (e *engine) treeBroken(tree quantum.Tree) bool {
 	for _, ch := range tree.Channels {
 		for i := 0; i+1 < len(ch.Nodes); i++ {
-			a, b := ch.Nodes[i], ch.Nodes[i+1]
-			if a > b {
-				a, b = b, a
-			}
-			if gone[[2]graph.NodeID{a, b}] {
+			if edge, ok := e.base.EdgeBetween(ch.Nodes[i], ch.Nodes[i+1]); ok && e.down[edge.ID] != 0 {
 				return true
 			}
 		}
@@ -406,6 +391,7 @@ func (e *engine) admitRequest(ctx context.Context, t int, req sched.Request) err
 	switch sched.Classify(ctx.Err(), err) {
 	case sched.VerdictAccepted:
 	case sched.VerdictRejected:
+		e.streams.skip()
 		e.rep.Rejected++
 		e.win.Rejected++
 		e.hash.fold(uint64(req.ID))
@@ -422,7 +408,7 @@ func (e *engine) admitRequest(ctx context.Context, t int, req sched.Request) err
 		id:         req.ID,
 		users:      req.Users,
 		departSlot: t + hold,
-		rng:        sessionStream(e.cfg.Seed, req.ID),
+		rng:        e.streams.take(),
 	}
 	s.rebuildChans(e.cur, tree)
 	e.active = append(e.active, s)
@@ -438,7 +424,13 @@ func (e *engine) admitRequest(ctx context.Context, t int, req sched.Request) err
 // solve a residual-capacity snapshot and then reserve their tree.
 func (e *engine) route(ctx context.Context, req sched.Request) (quantum.Tree, error) {
 	if e.cfg.Algorithm == GreedyAlgorithm {
-		prob, err := core.NewProblem(e.cur, req.Users, e.cfg.Params)
+		var prob *core.Problem
+		var err error
+		if e.tmpl != nil {
+			prob, err = e.tmpl.WithUsers(req.Users)
+		} else if prob, err = core.NewProblem(e.cur, req.Users, e.cfg.Params); err == nil {
+			e.tmpl = prob
+		}
 		if err != nil {
 			return quantum.Tree{}, fmt.Errorf("%w: request %d: %v", core.ErrInfeasible, req.ID, err)
 		}
@@ -473,37 +465,4 @@ func (e *engine) route(ctx context.Context, req sched.Request) (quantum.Tree, er
 		}
 	}
 	return sol.Tree, nil
-}
-
-// advanceAll steps every active session one slot, fanning out across the
-// configured parallelism. Sessions are independent (own RNG, own state),
-// so the fan-out is bit-identical to the sequential loop.
-func (e *engine) advanceAll() {
-	n := len(e.active)
-	workers := e.cfg.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for _, s := range e.active {
-			s.advance(e.cfg.Params, e.cfg.Fid, e.cfg.MemoryTTL, e.cfg.MinFidelity)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(part []*session) {
-			defer wg.Done()
-			for _, s := range part {
-				s.advance(e.cfg.Params, e.cfg.Fid, e.cfg.MemoryTTL, e.cfg.MinFidelity)
-			}
-		}(e.active[lo:hi])
-	}
-	wg.Wait()
 }

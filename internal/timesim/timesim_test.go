@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/muerp/quantumnet/internal/core"
@@ -306,5 +307,120 @@ func TestContextCancelAborts(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, baseConfig(g), testRequests(t, g, 0.2, 300, 3)); err == nil {
 		t.Fatal("cancelled run succeeded")
+	}
+}
+
+// The look-ahead seeder must not change a run at any parallelism. The
+// rejection-heavy stream (a saturating arrival rate on 2-qubit switches)
+// drives the abandon path, where the coordinator rejects a request while the
+// helper may be seeding its stream; the repair-heavy one (frequent fiber
+// failures) drives drops, whose streams are recycled mid-run. Under -race
+// this is also the data-race exercise for the helper.
+func TestParallelismEquivalence(t *testing.T) {
+	tight := testGraph(t)
+	tight.SetAllSwitchQubits(2)
+	for name, tc := range map[string]struct {
+		g     *graph.Graph
+		rate  float64
+		tweak func(*Config)
+	}{
+		"rejection-heavy": {tight, 3, func(*Config) {}},
+		"repair-heavy": {testGraph(t), 0.4, func(c *Config) {
+			c.FailProb, c.RepairSlots = 0.01, 10
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reqs := testRequests(t, tc.g, tc.rate, 300, 41)
+			var reps []Report
+			for _, par := range []int{1, 2, 4} {
+				cfg := baseConfig(tc.g)
+				cfg.Parallelism = par
+				tc.tweak(&cfg)
+				rep, err := Run(context.Background(), cfg, reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep.Work = core.SolveStats{} // pool counters vary with scheduling
+				reps = append(reps, rep)
+			}
+			if name == "rejection-heavy" && reps[0].Rejected < reps[0].Offered/2 {
+				t.Fatalf("only %d of %d requests rejected", reps[0].Rejected, reps[0].Offered)
+			}
+			if name == "repair-heavy" && reps[0].Repairs+reps[0].Dropped < 10 {
+				t.Fatalf("only %d repairs and %d drops", reps[0].Repairs, reps[0].Dropped)
+			}
+			for i, par := range []int{2, 4} {
+				if !reflect.DeepEqual(reps[0], reps[i+1]) {
+					t.Fatalf("parallelism %d changed the run:\n%s\nvs parallelism 1:\n%s", par, reps[i+1], reps[0])
+				}
+			}
+		})
+	}
+}
+
+// countdownCtx reports cancellation after its Err has been polled n times,
+// which cancels a run at a fixed slot.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// The look-ahead helper must be gone when Run returns, whether the run
+// finished, was cancelled mid-run or refused its input.
+func TestHelperExitsOnEveryReturn(t *testing.T) {
+	g := testGraph(t)
+	reqs := testRequests(t, g, 2, 300, 43)
+	cfg := baseConfig(g)
+	cfg.Parallelism = 2
+	bad := append([]sched.Request(nil), reqs...)
+	bad[len(bad)-1].Hold = 0
+	for name, run := range map[string]func() error{
+		"normal": func() error {
+			_, err := Run(context.Background(), cfg, reqs)
+			return err
+		},
+		"cancel": func() error {
+			if _, err := Run(&countdownCtx{Context: context.Background(), n: 450}, cfg, reqs); err == nil {
+				t.Error("cancelled run succeeded")
+			}
+			return nil
+		},
+		"bad request": func() error {
+			if _, err := Run(context.Background(), cfg, bad); err == nil {
+				t.Error("zero hold accepted")
+			}
+			return nil
+		},
+	} {
+		before := runtime.NumGoroutine()
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("%s: %d goroutines before Run, %d after", name, before, after)
+		}
+	}
+}
+
+// Recycled session streams rely on Rand.Seed restarting a used generator
+// on exactly the stream a fresh rand.NewSource gives.
+func TestReseededStreamMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(sessionSeed(5, 3)))
+	for i := 0; i < 1000; i++ {
+		r.Float64()
+	}
+	r.Seed(sessionSeed(5, 7))
+	fresh := rand.New(rand.NewSource(sessionSeed(5, 7)))
+	for i := 0; i < 1000; i++ {
+		if a, b := r.Float64(), fresh.Float64(); a != b {
+			t.Fatalf("draw %d: reseeded %v, fresh %v", i, a, b)
+		}
 	}
 }

@@ -5,7 +5,9 @@
 #      output (the summary carries the engine's FNV-1a trace hash, so any
 #      trajectory drift shows up as a diff);
 #   2. scale — a 10^5-session Poisson workload (5000 slots at 20
-#      arrivals/slot) must complete;
+#      arrivals/slot) must complete, and its output at -parallel 2 (with the
+#      look-ahead seeder racing an overloaded admission path) must equal the
+#      output at -parallel 1;
 #   3. CSV — a small TTL sweep must emit the delivered-rate-vs-TTL table
 #      with the expected header and one row per TTL.
 #
@@ -42,7 +44,12 @@ grep -q "^trace hash:" "$workdir/run_a.out" || {
 }
 
 echo "smoke-timesim: 10^5-session Poisson scale run ($SLOTS slots, $RATE/slot)"
-"$workdir/qsim" -slots "$SLOTS" -rate "$RATE" -hold 5 -seed 2 >"$workdir/scale.out"
+"$workdir/qsim" -slots "$SLOTS" -rate "$RATE" -hold 5 -seed 2 -parallel 2 >"$workdir/scale.out"
+"$workdir/qsim" -slots "$SLOTS" -rate "$RATE" -hold 5 -seed 2 -parallel 1 >"$workdir/scale_serial.out"
+if ! diff -u "$workdir/scale.out" "$workdir/scale_serial.out"; then
+  echo "smoke-timesim: scale run differs between -parallel 2 and -parallel 1" >&2
+  exit 1
+fi
 offered=$(awk '$1 == "offered:" {print $2}' "$workdir/scale.out")
 if [[ -z "$offered" || "$offered" -lt 90000 ]]; then
   echo "smoke-timesim: scale run offered only ${offered:-0} sessions (want ~10^5)" >&2
