@@ -6,7 +6,7 @@ BENCH_OUT ?= BENCH_kernel.json
 BENCH_LABEL ?= current
 BENCH_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp/quantumnet-bench)
 
-.PHONY: build test vet race perfbench-build tier1 bench bench-service bench-check list-solvers serve loadtest smoke-service smoke-service-sharded smoke-recovery smoke-recovery-sharded smoke-qos smoke-timesim clean
+.PHONY: build test vet race perfbench-build tier1 bench bench-service bench-check list-solvers serve loadtest smoke-service smoke-service-sharded smoke-recovery smoke-recovery-sharded smoke-qos smoke-timesim smoke-examples clean
 
 build:
 	$(GO) build ./...
@@ -153,6 +153,15 @@ smoke-recovery:
 # must verify and compose both shards offline.
 smoke-recovery-sharded:
 	SHARDS=2 bash scripts/smoke_recovery.sh
+
+# smoke-examples runs every program under examples/ end to end; `make build`
+# only compiles them. Each must exit 0 within 120s (distributed-computing,
+# the slowest, takes ~8s on 2 vCPU).
+smoke-examples:
+	@for ex in $(dir $(wildcard examples/*/main.go)); do \
+		echo "== $$ex"; \
+		timeout 120 $(GO) run ./$$ex || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -18,12 +18,12 @@ import (
 	"time"
 
 	quantumnet "github.com/muerp/quantumnet"
-	"github.com/muerp/quantumnet/internal/baseline"
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/montecarlo"
 	"github.com/muerp/quantumnet/internal/quantum"
 	"github.com/muerp/quantumnet/internal/runtime"
 	"github.com/muerp/quantumnet/internal/sim"
+	"github.com/muerp/quantumnet/internal/solver"
 	"github.com/muerp/quantumnet/internal/topology"
 	"github.com/muerp/quantumnet/internal/transport"
 )
@@ -205,28 +205,23 @@ func BenchmarkAlgorithm1ChannelSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSolvers times each routing scheme on the paper-default network.
+// BenchmarkSolvers times each of the paper's routing schemes on the
+// paper-default network, through its registry entry. Algorithm 2 solves the
+// sufficient-capacity copy (20 qubits per switch), as in the figures.
 func BenchmarkSolvers(b *testing.B) {
 	g := benchNetwork(b, 1)
 	boosted := g.Clone()
 	boosted.SetAllSwitchQubits(20)
-	solvers := []struct {
-		name string
-		g    *quantumnet.Graph
-		s    core.Solver
-	}{
-		{"alg2", boosted, core.Optimal()},
-		{"alg3", g, core.ConflictFree()},
-		{"alg4", g, core.Prim(0)},
-		{"eqcast", g, baseline.EQCast()},
-		{"nfusion", g, baseline.NFusion()},
-	}
-	for _, tc := range solvers {
-		b.Run(tc.name, func(b *testing.B) {
-			p := benchProblem(b, tc.g)
+	for _, e := range solver.Defaults() {
+		net := g
+		if e.NeedsSufficientCapacity {
+			net = boosted
+		}
+		b.Run(e.Name, func(b *testing.B) {
+			p := benchProblem(b, net)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tc.s.Solve(context.Background(), p, nil); err != nil {
+				if _, err := e.Solve(context.Background(), p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,7 +233,7 @@ func BenchmarkSolvers(b *testing.B) {
 func BenchmarkMonteCarlo(b *testing.B) {
 	g := benchNetwork(b, 1)
 	p := benchProblem(b, g)
-	sol, err := core.SolveConflictFree(p)
+	sol, err := core.SolveConflictFreeContext(context.Background(), p, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +263,7 @@ func BenchmarkDistributedExecution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := transport.NewInMemory()
 		_, err := runtime.Run(ctx, net, g, runtime.Config{
-			Solver: core.ConflictFree(),
+			Solver: core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext},
 			Params: quantum.DefaultParams(),
 			Rounds: 100,
 			Seed:   int64(i),

@@ -1,9 +1,8 @@
 // Command netsim runs the paper's §II-B distributed entanglement process
 // end to end: every user and switch of a generated network runs as its own
 // goroutine; users send entanglement requests to a central controller,
-// which routes them with a chosen algorithm, disseminates the plan over a
-// message plane (in-memory channels or real TCP loopback sockets), and
-// drives synchronized entanglement rounds.
+// which routes them with a chosen algorithm, disseminates the plan over an
+// in-memory message plane, and drives synchronized entanglement rounds.
 //
 // Usage:
 //
@@ -12,7 +11,6 @@
 //	-model/-users/-switches/-degree/-qubits/-seed  as in cmd/muerp
 //	-alg        routing algorithm (default alg3)
 //	-rounds     synchronized entanglement rounds (default 10000)
-//	-transport  mem | tcp (default mem)
 //	-parallel   OS-thread cap for the node goroutines (default all CPUs)
 //	-stats      print the controller's solve-work counters
 //	-version    print build info and exit
@@ -55,7 +53,6 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Int64("seed", 1, "RNG seed")
 		alg      = fs.String("alg", "alg3", "routing algorithm")
 		rounds   = fs.Int("rounds", 10000, "entanglement rounds")
-		transp   = fs.String("transport", "mem", "message plane: mem or tcp")
 		timeout  = fs.Duration("timeout", 2*time.Minute, "execution timeout")
 		parallel = fs.Int("parallel", goruntime.GOMAXPROCS(0), "OS-thread cap for the node goroutines")
 		stats    = fs.Bool("stats", false, "print the controller's solve-work counters")
@@ -103,25 +100,8 @@ func run(args []string, out io.Writer) error {
 		solver = withStatsSink(solver, &work)
 	}
 
-	var net transport.Network
-	switch *transp {
-	case "mem":
-		mem := transport.NewInMemory()
-		defer func() { _ = mem.Close() }()
-		net = mem
-	case "tcp":
-		hub, err := transport.NewTCPHub("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer func() { _ = hub.Close() }()
-		fmt.Fprintf(out, "tcp hub listening on %s\n", hub.Addr())
-		tcp := transport.NewTCPNetwork(hub.Addr())
-		defer func() { _ = tcp.Close() }()
-		net = tcp
-	default:
-		return fmt.Errorf("unknown transport %q (want mem or tcp)", *transp)
-	}
+	net := transport.NewInMemory()
+	defer func() { _ = net.Close() }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -138,7 +118,7 @@ func run(args []string, out io.Writer) error {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(out, "algorithm:        %s over %s transport\n", solver.Name(), *transp)
+	fmt.Fprintf(out, "algorithm:        %s\n", solver.Name())
 	fmt.Fprintf(out, "channels routed:  %d\n", len(report.Solution.Tree.Channels))
 	fmt.Fprintf(out, "rounds executed:  %d in %v\n", report.Rounds, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "tree successes:   %d\n", report.Successes)

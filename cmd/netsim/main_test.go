@@ -18,7 +18,7 @@ func TestRunInMemory(t *testing.T) {
 		t.Fatalf("run: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"algorithm:        alg3 over mem transport",
+		"algorithm:        alg3\n",
 		"rounds executed:  200",
 		"empirical rate:",
 		"analytic rate:",
@@ -27,19 +27,6 @@ func TestRunInMemory(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRunOverTCP(t *testing.T) {
-	out, err := capture(t, "-users", "3", "-switches", "8", "-rounds", "50", "-transport", "tcp")
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "tcp hub listening on 127.0.0.1:") {
-		t.Errorf("no hub line:\n%s", out)
-	}
-	if !strings.Contains(out, "over tcp transport") {
-		t.Errorf("no tcp transport line:\n%s", out)
 	}
 }
 
@@ -60,7 +47,6 @@ func TestRunEveryAlgorithm(t *testing.T) {
 func TestRejects(t *testing.T) {
 	tests := [][]string{
 		{"-alg", "bogus"},
-		{"-transport", "carrier-pigeon"},
 		{"-model", "bogus"},
 		{"-rounds", "0"},
 	}

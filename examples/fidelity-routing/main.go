@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -57,7 +58,7 @@ func main() {
 	fmt.Println("\nwhole-tree routing:")
 	for _, floor := range []float64{0, 0.80, 0.85} {
 		router := quantumnet.FidelityRouter{Params: params, Model: model, MinFidelity: floor}
-		sol, err := quantumnet.SolveWithFidelity(prob, router)
+		sol, err := quantumnet.SolveWithFidelity(context.Background(), prob, router)
 		if err != nil {
 			if errors.Is(err, quantumnet.ErrInfeasible) {
 				fmt.Printf("  floor %.2f: infeasible\n", floor)

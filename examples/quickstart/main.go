@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := quantumnet.SolveConflictFree(prob)
+	sol, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package quantumnet_test
 
-// Benchmarks for the extension subsystems (fidelity floors, multi-group
-// routing, purification planning, dynamic admission, exact search, DOT
-// rendering). These complement bench_test.go's per-figure benches.
+// Benchmarks for the extension subsystems (fidelity floors, purification
+// planning, dynamic admission, exact search, DOT rendering). These
+// complement bench_test.go's per-figure benches.
 
 import (
 	"context"
@@ -13,7 +13,6 @@ import (
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/exact"
 	"github.com/muerp/quantumnet/internal/fidelity"
-	"github.com/muerp/quantumnet/internal/multigroup"
 	"github.com/muerp/quantumnet/internal/purify"
 	"github.com/muerp/quantumnet/internal/quantum"
 	"github.com/muerp/quantumnet/internal/sched"
@@ -33,30 +32,9 @@ func BenchmarkFidelitySolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fidelity.Solve(p, router); err != nil {
+		if _, err := fidelity.Solve(context.Background(), p, router); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMultiGroupRoute times two concurrent 5-user groups over one
-// shared paper-default network per strategy.
-func BenchmarkMultiGroupRoute(b *testing.B) {
-	for _, strat := range []multigroup.Strategy{multigroup.Sequential, multigroup.RoundRobin} {
-		b.Run(strat.String(), func(b *testing.B) {
-			g := benchNetwork(b, 1)
-			users := g.Users()
-			groups := []multigroup.Group{
-				{Name: "A", Users: users[:5]},
-				{Name: "B", Users: users[5:]},
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := multigroup.Route(g, groups, quantum.DefaultParams(), strat); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -111,7 +89,7 @@ func BenchmarkExactSolve(b *testing.B) {
 func BenchmarkDOTRender(b *testing.B) {
 	g := benchNetwork(b, 1)
 	p := benchProblem(b, g)
-	sol, err := core.SolveConflictFree(p)
+	sol, err := core.SolveConflictFreeContext(context.Background(), p, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -135,7 +113,7 @@ func BenchmarkNSFNetRouting(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveConflictFree(p); err != nil {
+		if _, err := core.SolveConflictFreeContext(context.Background(), p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestFacadeFidelityRouting(t *testing.T) {
 		Model:       quantumnet.DefaultFidelityModel(),
 		MinFidelity: 0.8,
 	}
-	sol, err := quantumnet.SolveWithFidelity(prob, router)
+	sol, err := quantumnet.SolveWithFidelity(context.Background(), prob, router)
 	if err != nil {
 		t.Fatalf("SolveWithFidelity: %v", err)
 	}
@@ -36,63 +36,12 @@ func TestFacadeFidelityRouting(t *testing.T) {
 		t.Fatalf("fidelity validation: %v", err)
 	}
 	// The constrained rate never beats the unconstrained alg3 tree.
-	free, err := quantumnet.SolveConflictFree(prob)
+	free, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Rate() > free.Rate()*(1+1e-9) {
 		t.Fatalf("fidelity-constrained rate %g beats unconstrained %g", sol.Rate(), free.Rate())
-	}
-}
-
-// TestFacadeMultiGroupRouting exercises concurrent group routing through
-// the public API.
-func TestFacadeMultiGroupRouting(t *testing.T) {
-	topo := quantumnet.DefaultTopology()
-	topo.Users = 8
-	topo.Switches = 25
-	g, err := quantumnet.Generate(topo, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := g.Users()
-	groups := []quantumnet.EntanglementGroup{
-		{Name: "qkd", Users: users[:4]},
-		{Name: "dqc", Users: users[4:]},
-	}
-	for _, strat := range []quantumnet.GroupStrategy{quantumnet.SequentialGroups, quantumnet.RoundRobinGroups} {
-		res, err := quantumnet.RouteGroups(g, groups, quantumnet.DefaultParams(), strat)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if len(res.Solutions)+len(res.Failed) != 2 {
-			t.Fatalf("%s: %d solutions + %d failures, want 2 total", strat, len(res.Solutions), len(res.Failed))
-		}
-		if idx := res.JainIndex(groups); idx < 0 || idx > 1 {
-			t.Fatalf("%s: fairness index %g outside [0,1]", strat, idx)
-		}
-	}
-}
-
-// TestFacadeEdgeCriticality exercises the critical-edge analysis through
-// the public API.
-func TestFacadeEdgeCriticality(t *testing.T) {
-	topo := quantumnet.DefaultTopology()
-	topo.Users = 4
-	topo.Switches = 10
-	g, err := quantumnet.Generate(topo, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := quantumnet.AnalyzeEdgeCriticality(g, quantumnet.Solvers()[1], quantumnet.DefaultParams())
-	if err != nil {
-		t.Fatalf("AnalyzeEdgeCriticality: %v", err)
-	}
-	if report.Baseline <= 0 {
-		t.Fatalf("baseline %g", report.Baseline)
-	}
-	if len(report.Impacts) != g.NumEdges() {
-		t.Fatalf("%d impacts for %d fibers", len(report.Impacts), g.NumEdges())
 	}
 }
 
@@ -110,7 +59,7 @@ func TestFacadeGridTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := quantumnet.SolveConflictFree(prob)
+	sol, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
 		t.Fatalf("lattice routing: %v", err)
 	}
@@ -201,7 +150,7 @@ func TestFacadeNSFNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := quantumnet.SolveConflictFree(prob)
+	sol, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
 		t.Fatalf("routing on NSFNET: %v", err)
 	}
@@ -228,7 +177,7 @@ func TestFacadeRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := quantumnet.SolveConflictFree(prob)
+	sol, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +214,7 @@ func TestFacadeRedundancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := quantumnet.SolveConflictFree(prob)
+	base, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,6 @@ import (
 	"github.com/muerp/quantumnet/internal/graph"
 )
 
-// SolveNFusionFixedHub is the N-FUSION baseline with the fusion hub pinned
-// to one user instead of searching all users for the best one; background
-// context, see SolveNFusionFixedHubContext.
-func SolveNFusionFixedHub(p *core.Problem, hub graph.NodeID) (*core.Solution, error) {
-	return SolveNFusionFixedHubContext(context.Background(), p, hub, nil)
-}
-
 // SolveNFusionFixedHubContext is the N-FUSION baseline with the fusion hub
 // pinned to one user instead of searching all users for the best one. It
 // exists for the ablation benches, which quantify how much of N-FUSION's

@@ -51,9 +51,9 @@ func mustProblem(t *testing.T, g *graph.Graph) *core.Problem {
 func TestEQCastChainsConsecutivePairs(t *testing.T) {
 	g := meshNet(t, 8)
 	p := mustProblem(t, g)
-	sol, err := SolveEQCast(p)
+	sol, err := SolveEQCastContext(context.Background(), p, nil)
 	if err != nil {
-		t.Fatalf("SolveEQCast: %v", err)
+		t.Fatalf("SolveEQCastContext: %v", err)
 	}
 	if err := p.Validate(sol); err != nil {
 		t.Fatalf("invalid: %v", err)
@@ -86,7 +86,7 @@ func TestEQCastInfeasibleOnCapacity(t *testing.T) {
 		g.MustAddEdge(u, 3, 1000)
 	}
 	p := mustProblem(t, g)
-	_, err := SolveEQCast(p)
+	_, err := SolveEQCastContext(context.Background(), p, nil)
 	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("error = %v, want ErrInfeasible", err)
 	}
@@ -97,11 +97,11 @@ func TestEQCastNeverBeatsOptimal(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g := meshNet(t, 8)
 		p := mustProblem(t, g)
-		opt, err := core.SolveOptimal(p)
+		opt, err := core.SolveOptimalContext(context.Background(), p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveEQCast(p)
+		sol, err := SolveEQCastContext(context.Background(), p, nil)
 		if err != nil {
 			continue
 		}
@@ -115,9 +115,9 @@ func TestEQCastNeverBeatsOptimal(t *testing.T) {
 func TestNFusionStarShapeAndFactor(t *testing.T) {
 	g := meshNet(t, 8)
 	p := mustProblem(t, g)
-	sol, err := SolveNFusion(p)
+	sol, err := SolveNFusionContext(context.Background(), p, nil)
 	if err != nil {
-		t.Fatalf("SolveNFusion: %v", err)
+		t.Fatalf("SolveNFusionContext: %v", err)
 	}
 	if err := p.Validate(sol); err != nil {
 		t.Fatalf("invalid: %v", err)
@@ -156,7 +156,7 @@ func TestNFusionSingleUser(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddUser(0, 0)
 	p := mustProblem(t, g)
-	sol, err := SolveNFusion(p)
+	sol, err := SolveNFusionContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestNFusionInfeasible(t *testing.T) {
 	g.AddUser(50, 50) // isolated
 	g.MustAddEdge(0, 1, 100)
 	p := mustProblem(t, g)
-	_, err := SolveNFusion(p)
+	_, err := SolveNFusionContext(context.Background(), p, nil)
 	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("error = %v, want ErrInfeasible", err)
 	}
@@ -183,11 +183,11 @@ func TestNFusionPenalizedBelowPairwiseSchemes(t *testing.T) {
 	// strictly below Algorithm 3's pure-BSM tree.
 	g := meshNet(t, 8)
 	p := mustProblem(t, g)
-	nf, err := SolveNFusion(p)
+	nf, err := SolveNFusionContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg3, err := core.SolveConflictFree(p)
+	alg3, err := core.SolveConflictFreeContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,10 @@ func TestNFusionPenalizedBelowPairwiseSchemes(t *testing.T) {
 func TestSolverAdapters(t *testing.T) {
 	g := meshNet(t, 8)
 	p := mustProblem(t, g)
-	for _, s := range []core.Solver{EQCast(), NFusion()} {
+	for _, s := range []core.Solver{
+		core.SolverFunc{ID: "eqcast", Fn: SolveEQCastContext},
+		core.SolverFunc{ID: "nfusion", Fn: SolveNFusionContext},
+	} {
 		sol, err := s.Solve(context.Background(), p, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -224,9 +227,9 @@ func TestQuickBaselinesValidOrInfeasible(t *testing.T) {
 		boosted := g.Clone()
 		boosted.SetAllSwitchQubits(2 * len(p.Users))
 		bp, _ := core.AllUsersProblem(boosted, quantum.DefaultParams())
-		opt, optErr := core.SolveOptimal(bp)
-		for _, solve := range []func(*core.Problem) (*core.Solution, error){SolveEQCast, SolveNFusion} {
-			sol, err := solve(p)
+		opt, optErr := core.SolveOptimalContext(context.Background(), bp, nil)
+		for _, solve := range []core.SolveFunc{SolveEQCastContext, SolveNFusionContext} {
+			sol, err := solve(context.Background(), p, nil)
 			if err != nil {
 				if !errors.Is(err, core.ErrInfeasible) {
 					t.Logf("seed %d: unexpected error %v", seed, err)

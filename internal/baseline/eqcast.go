@@ -14,12 +14,6 @@ import (
 	"github.com/muerp/quantumnet/internal/quantum"
 )
 
-// SolveEQCast runs the E-Q-CAST baseline with background context and no
-// options; see SolveEQCastContext for the scheme.
-func SolveEQCast(p *core.Problem) (*core.Solution, error) {
-	return SolveEQCastContext(context.Background(), p, nil)
-}
-
 // SolveEQCastContext implements the E-Q-CAST baseline under the core
 // SolveFunc contract.
 //
@@ -54,17 +48,6 @@ func SolveEQCastContext(ctx context.Context, p *core.Problem, opts *core.SolveOp
 		st.AddCommitted(1)
 	}
 	return &core.Solution{Tree: tree, Algorithm: "eqcast", MeasurementFactor: 1}, nil
-}
-
-// EQCast returns the baseline as a core.Solver.
-func EQCast() core.Solver {
-	return core.SolverFunc{ID: "eqcast", Fn: SolveEQCastContext}
-}
-
-// SolveNFusion runs the N-FUSION baseline with background context and no
-// options; see SolveNFusionContext for the scheme.
-func SolveNFusion(p *core.Problem) (*core.Solution, error) {
-	return SolveNFusionContext(context.Background(), p, nil)
 }
 
 // SolveNFusionContext implements the N-FUSION baseline under the core
@@ -149,9 +132,4 @@ func solveStar(p *core.Problem, hub graph.NodeID, st *core.SolveStats) (*core.So
 		st.AddCommitted(1)
 	}
 	return &core.Solution{Tree: tree, Algorithm: "nfusion"}, nil
-}
-
-// NFusion returns the baseline as a core.Solver.
-func NFusion() core.Solver {
-	return core.SolverFunc{ID: "nfusion", Fn: SolveNFusionContext}
 }

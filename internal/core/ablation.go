@@ -12,7 +12,7 @@ import (
 
 // This file provides ablation variants of Algorithm 3's design choices, so
 // the benchmark harness can quantify how much each choice is worth. They
-// are not part of the paper's algorithms; SolveConflictFree remains the
+// are not part of the paper's algorithms; SolveConflictFreeContext remains the
 // faithful implementation.
 
 // ReplayOrder selects the order in which Algorithm 3's phase 1 replays the
@@ -42,12 +42,6 @@ func (o ReplayOrder) String() string {
 	default:
 		return fmt.Sprintf("ReplayOrder(%d)", int(o))
 	}
-}
-
-// SolveConflictFreeOrdered is Algorithm 3 with a configurable phase-1 replay
-// order, background context; see SolveConflictFreeOrderedContext.
-func SolveConflictFreeOrdered(p *Problem, order ReplayOrder, rng *rand.Rand) (*Solution, error) {
-	return SolveConflictFreeOrderedContext(context.Background(), p, order, &SolveOptions{RNG: rng})
 }
 
 // SolveConflictFreeOrderedContext is Algorithm 3 with a configurable phase-1
@@ -109,13 +103,6 @@ func SolveConflictFreeOrderedContext(ctx context.Context, p *Problem, order Repl
 		return nil, err
 	}
 	return &Solution{Tree: tree, Algorithm: "alg3-" + order.String(), MeasurementFactor: 1}, nil
-}
-
-// SolvePrimBestOfAllStarts runs Algorithm 4 once per possible starting user
-// and keeps the best tree, background context; see
-// SolvePrimBestOfAllStartsContext.
-func SolvePrimBestOfAllStarts(p *Problem) (*Solution, error) {
-	return SolvePrimBestOfAllStartsContext(context.Background(), p, nil)
 }
 
 // SolvePrimBestOfAllStartsContext runs Algorithm 4 once per possible

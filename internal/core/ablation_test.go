@@ -12,11 +12,11 @@ import (
 func TestSolveConflictFreeOrderedDescendingMatchesPaper(t *testing.T) {
 	g := bottleneckNet(t, 2)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	paper, err := SolveConflictFree(p)
+	paper, err := SolveConflictFreeContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered, err := SolveConflictFreeOrdered(p, ReplayDescending, nil)
+	ordered, err := SolveConflictFreeOrderedContext(context.Background(), p, ReplayDescending, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSolveConflictFreeOrderedAllVariantsValid(t *testing.T) {
 		g := randomNet(rng, 3+rng.Intn(3), 3+rng.Intn(4), 2+2*rng.Intn(2))
 		p := mustProblem(t, g, quantum.DefaultParams())
 		for _, order := range []ReplayOrder{ReplayDescending, ReplayAscending, ReplayRandom} {
-			sol, err := SolveConflictFreeOrdered(p, order, rng)
+			sol, err := SolveConflictFreeOrderedContext(context.Background(), p, order, &SolveOptions{RNG: rng})
 			if err != nil {
 				if errors.Is(err, ErrInfeasible) {
 					continue
@@ -48,7 +48,7 @@ func TestSolveConflictFreeOrderedAllVariantsValid(t *testing.T) {
 func TestSolveConflictFreeOrderedUnknownOrder(t *testing.T) {
 	g := fourUserNet(t)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	if _, err := SolveConflictFreeOrdered(p, ReplayOrder(42), nil); err == nil {
+	if _, err := SolveConflictFreeOrderedContext(context.Background(), p, ReplayOrder(42), nil); err == nil {
 		t.Fatal("unknown order accepted")
 	}
 }
@@ -72,7 +72,7 @@ func TestSolvePrimBestOfAllStartsDominatesAnyStart(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g := randomNet(rng, 3+rng.Intn(3), 3+rng.Intn(4), 2+2*rng.Intn(2))
 		p := mustProblem(t, g, quantum.DefaultParams())
-		best, err := SolvePrimBestOfAllStarts(p)
+		best, err := SolvePrimBestOfAllStartsContext(context.Background(), p, nil)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
@@ -100,7 +100,7 @@ func TestSolvePrimBestOfAllStartsInfeasible(t *testing.T) {
 	g.SetQubits(3, 0)
 	g.SetQubits(4, 0)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	if _, err := SolvePrimBestOfAllStarts(p); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolvePrimBestOfAllStartsContext(context.Background(), p, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("error = %v, want ErrInfeasible", err)
 	}
 }

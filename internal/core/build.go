@@ -10,7 +10,7 @@ import (
 // BuildGreedyTree grows an entanglement tree for the problem's users
 // against an externally owned qubit ledger — the Algorithm 4 greedy step
 // applied to *shared* capacity, used by callers that route several requests
-// over one network (the multigroup extension, the admission scheduler).
+// over one network (the admission scheduler and daemon, the slot engine).
 // A nil ctx never cancels; opts follows the SolveFunc contract (its RNG is
 // unused — the tree always grows from the first user).
 //

@@ -20,12 +20,6 @@ import (
 // different unions and commits it, until one union spans U or no channel
 // exists (infeasible).
 
-// SolveConflictFree runs Algorithm 3 with background context and no options;
-// see SolveConflictFreeContext for the full contract.
-func SolveConflictFree(p *Problem) (*Solution, error) {
-	return SolveConflictFreeContext(context.Background(), p, nil)
-}
-
 // SolveConflictFreeContext implements Algorithm 3 under the SolveFunc
 // contract. It internally obtains Algorithm 2's solution as its starting
 // point, as in the paper.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -37,11 +38,11 @@ func bottleneckNet(t *testing.T, centralQubits int) *graph.Graph {
 func TestSolveConflictFreeNoConflicts(t *testing.T) {
 	g := bottleneckNet(t, 16)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	opt, err := SolveOptimal(p)
+	opt, err := SolveOptimalContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := SolveConflictFree(p)
+	cf, err := SolveConflictFreeContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +62,9 @@ func TestSolveConflictFreeResolvesConflict(t *testing.T) {
 	// take the detour through switch d.
 	g := bottleneckNet(t, 2)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	sol, err := SolveConflictFree(p)
+	sol, err := SolveConflictFreeContext(context.Background(), p, nil)
 	if err != nil {
-		t.Fatalf("SolveConflictFree: %v", err)
+		t.Fatalf("SolveConflictFreeContext: %v", err)
 	}
 	if err := p.Validate(sol); err != nil {
 		t.Fatalf("invalid: %v", err)
@@ -80,7 +81,7 @@ func TestSolveConflictFreeResolvesConflict(t *testing.T) {
 		t.Fatalf("expected the overflow channel to reroute via the detour switch; tree: %v", sol.Tree.Channels)
 	}
 	// And it must be worse than the unconstrained optimum.
-	opt, err := SolveOptimal(p)
+	opt, err := SolveOptimalContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestSolveConflictFreeInfeasible(t *testing.T) {
 		g.MustAddEdge(u, 3, 1000)
 	}
 	p := mustProblem(t, g, quantum.DefaultParams())
-	_, err := SolveConflictFree(p)
+	_, err := SolveConflictFreeContext(context.Background(), p, nil)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("error = %v, want ErrInfeasible", err)
 	}
@@ -122,11 +123,11 @@ func TestSolveConflictFreeFigure4aCapacity(t *testing.T) {
 		return g
 	}
 	pOK := mustProblem(t, build(4), quantum.DefaultParams())
-	if _, err := SolveConflictFree(pOK); err != nil {
+	if _, err := SolveConflictFreeContext(context.Background(), pOK, nil); err != nil {
 		t.Fatalf("4-qubit switch should suffice: %v", err)
 	}
 	pBad := mustProblem(t, build(2), quantum.DefaultParams())
-	if _, err := SolveConflictFree(pBad); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveConflictFreeContext(context.Background(), pBad, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("2-qubit switch error = %v, want ErrInfeasible", err)
 	}
 }
@@ -142,7 +143,7 @@ func TestQuickConflictFreeProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sol, err := SolveConflictFree(p)
+		sol, err := SolveConflictFreeContext(context.Background(), p, nil)
 		if err != nil {
 			return errors.Is(err, ErrInfeasible)
 		}
@@ -154,7 +155,7 @@ func TestQuickConflictFreeProperties(t *testing.T) {
 		boosted := g.Clone()
 		boosted.SetAllSwitchQubits(2 * len(p.Users))
 		bp, _ := AllUsersProblem(boosted, quantum.DefaultParams())
-		opt, err := SolveOptimal(bp)
+		opt, err := SolveOptimalContext(context.Background(), bp, nil)
 		if err != nil {
 			t.Logf("seed %d: boosted optimal failed: %v", seed, err)
 			return false

@@ -152,7 +152,7 @@ func BenchmarkConnectUnions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base, err := SolveOptimal(pTight)
+	base, err := SolveOptimalContext(context.Background(), pTight, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -89,21 +90,20 @@ func TestSolversDeterministicUnderPooling(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
 		g := randomNet(rng, 5, 20, 4)
-		solvers := []func(*Problem) (*Solution, error){SolveOptimal, SolveConflictFree,
-			func(p *Problem) (*Solution, error) { return SolvePrim(p, nil) }}
+		solvers := []SolveFunc{SolveOptimalContext, SolveConflictFreeContext, SolvePrimContext}
 		for si, solve := range solvers {
 			warm := mustProblem(t, g, quantum.DefaultParams())
-			first, err1 := solve(warm)
+			first, err1 := solve(context.Background(), warm, nil)
 			if err1 != nil {
 				continue // infeasible on this draw; nothing to compare
 			}
 			for rep := 0; rep < 3; rep++ {
-				again, err := solve(warm) // warm pool
+				again, err := solve(context.Background(), warm, nil) // warm pool
 				if err != nil {
 					t.Fatalf("solver %d became infeasible on rerun: %v", si, err)
 				}
 				sameSolution(t, first, again)
-				fresh, err := solve(mustProblem(t, g, quantum.DefaultParams()))
+				fresh, err := solve(context.Background(), mustProblem(t, g, quantum.DefaultParams()), nil)
 				if err != nil {
 					t.Fatalf("solver %d infeasible on fresh problem: %v", si, err)
 				}

@@ -95,7 +95,7 @@ func TestConflictFreeLazyMatchesExhaustive(t *testing.T) {
 		users := 4 + rng.Intn(7)
 		g := randomNet(rng, users, 12+rng.Intn(20), 2+2*rng.Intn(2))
 		p := mustProblem(t, g, quantum.DefaultParams())
-		base, err := SolveOptimal(p)
+		base, err := SolveOptimalContext(context.Background(), p, nil)
 		if err != nil {
 			continue // users disconnected: nothing to compare
 		}

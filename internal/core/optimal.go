@@ -124,12 +124,6 @@ func sortByRateDesc(cands []candidate) {
 	})
 }
 
-// SolveOptimal runs Algorithm 2 with background context and no options; see
-// SolveOptimalContext for the full contract.
-func SolveOptimal(p *Problem) (*Solution, error) {
-	return SolveOptimalContext(context.Background(), p, nil)
-}
-
 // SolveOptimalContext implements Algorithm 2 under the SolveFunc contract.
 // Under the sufficient condition Q_r >= 2|U| for all switches
 // (Problem.SufficientCapacity) the result is the optimal MUERP solution

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -35,9 +36,9 @@ func fourUserNet(t *testing.T) *graph.Graph {
 func TestSolveOptimalBasic(t *testing.T) {
 	g := fourUserNet(t)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	sol, err := SolveOptimal(p)
+	sol, err := SolveOptimalContext(context.Background(), p, nil)
 	if err != nil {
-		t.Fatalf("SolveOptimal: %v", err)
+		t.Fatalf("SolveOptimalContext: %v", err)
 	}
 	if got := len(sol.Tree.Channels); got != len(p.Users)-1 {
 		t.Fatalf("tree has %d channels, want %d", got, len(p.Users)-1)
@@ -60,7 +61,7 @@ func TestSolveOptimalInfeasibleWhenDisconnected(t *testing.T) {
 	g.AddUser(50, 50) // unreachable
 	g.MustAddEdge(0, 1, 100)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	_, err := SolveOptimal(p)
+	_, err := SolveOptimalContext(context.Background(), p, nil)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("error = %v, want ErrInfeasible", err)
 	}
@@ -70,9 +71,9 @@ func TestSolveOptimalSingleUser(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddUser(0, 0)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	sol, err := SolveOptimal(p)
+	sol, err := SolveOptimalContext(context.Background(), p, nil)
 	if err != nil {
-		t.Fatalf("SolveOptimal single user: %v", err)
+		t.Fatalf("SolveOptimalContext single user: %v", err)
 	}
 	if len(sol.Tree.Channels) != 0 || sol.Rate() != 1 {
 		t.Fatalf("single-user solution = %d channels rate %g, want empty rate 1", len(sol.Tree.Channels), sol.Rate())
@@ -88,7 +89,7 @@ func TestSolveOptimalTwoUsersPicksBestChannel(t *testing.T) {
 	g.MustAddEdge(1, 2, 1000)
 	g.MustAddEdge(0, 2, 20000)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	sol, err := SolveOptimal(p)
+	sol, err := SolveOptimalContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +121,13 @@ func TestQuickOptimalMatchesBruteForce(t *testing.T) {
 			t.Log("fixture violates the sufficient condition")
 			return false
 		}
-		sol, err := SolveOptimal(p)
+		sol, err := SolveOptimalContext(context.Background(), p, nil)
 		want, feasible := bruteForceOptimal(t, p)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) && !feasible {
 				return true
 			}
-			t.Logf("seed %d: SolveOptimal error %v (brute feasible=%v)", seed, err, feasible)
+			t.Logf("seed %d: SolveOptimalContext error %v (brute feasible=%v)", seed, err, feasible)
 			return false
 		}
 		if !feasible {
@@ -159,7 +160,7 @@ func TestQuickOptimalAlwaysValidStructure(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sol, err := SolveOptimal(p)
+		sol, err := SolveOptimalContext(context.Background(), p, nil)
 		if err != nil {
 			return errors.Is(err, ErrInfeasible)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"github.com/muerp/quantumnet/internal/quantum"
 )
@@ -12,13 +11,6 @@ import (
 // grow the entanglement tree from one randomly chosen user, each round
 // committing the maximum-rate feasible channel from the in-tree user set U1
 // to the out-set U2 and charging the switches it crosses.
-
-// SolvePrim runs Algorithm 4 with background context; the rng (nil = start
-// from the first user) is passed through as SolveOptions.RNG. See
-// SolvePrimContext for the full contract.
-func SolvePrim(p *Problem, rng *rand.Rand) (*Solution, error) {
-	return SolvePrimContext(context.Background(), p, &SolveOptions{RNG: rng})
-}
 
 // SolvePrimContext implements Algorithm 4 under the SolveFunc contract.
 // opts.RNG selects the starting user as in the paper ("randomly pick u0");

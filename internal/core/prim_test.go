@@ -13,9 +13,9 @@ import (
 func TestSolvePrimBasic(t *testing.T) {
 	g := fourUserNet(t)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	sol, err := SolvePrim(p, nil)
+	sol, err := SolvePrimContext(context.Background(), p, nil)
 	if err != nil {
-		t.Fatalf("SolvePrim: %v", err)
+		t.Fatalf("SolvePrimContext: %v", err)
 	}
 	if err := p.Validate(sol); err != nil {
 		t.Fatalf("invalid: %v", err)
@@ -33,8 +33,8 @@ func TestSolvePrimMatchesOptimalWithAmpleCapacity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g := randomNet(rng, 3+rng.Intn(3), 3+rng.Intn(4), 20)
 		p := mustProblem(t, g, quantum.DefaultParams())
-		opt, errOpt := SolveOptimal(p)
-		prim, errPrim := SolvePrim(p, nil)
+		opt, errOpt := SolveOptimalContext(context.Background(), p, nil)
+		prim, errPrim := SolvePrimContext(context.Background(), p, nil)
 		if errOpt != nil || errPrim != nil {
 			t.Fatalf("solve errors: %v, %v", errOpt, errPrim)
 		}
@@ -47,9 +47,9 @@ func TestSolvePrimMatchesOptimalWithAmpleCapacity(t *testing.T) {
 func TestSolvePrimRespectsCapacity(t *testing.T) {
 	g := bottleneckNet(t, 2)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	sol, err := SolvePrim(p, nil)
+	sol, err := SolvePrimContext(context.Background(), p, nil)
 	if err != nil {
-		t.Fatalf("SolvePrim: %v", err)
+		t.Fatalf("SolvePrimContext: %v", err)
 	}
 	if err := p.Validate(sol); err != nil {
 		t.Fatalf("capacity-violating tree: %v", err)
@@ -74,11 +74,11 @@ func TestSolvePrimRandomStartUsesRng(t *testing.T) {
 	g := fourUserNet(t)
 	p := mustProblem(t, g, quantum.DefaultParams())
 	// Same seed, same result.
-	a, err := SolvePrim(p, rand.New(rand.NewSource(3)))
+	a, err := SolvePrimContext(context.Background(), p, &SolveOptions{RNG: rand.New(rand.NewSource(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolvePrim(p, rand.New(rand.NewSource(3)))
+	b, err := SolvePrimContext(context.Background(), p, &SolveOptions{RNG: rand.New(rand.NewSource(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSolvePrimInfeasible(t *testing.T) {
 	g := bottleneckNet(t, 2)
 	g.SetQubits(4, 0) // remove the detour's capacity
 	p := mustProblem(t, g, quantum.DefaultParams())
-	_, err := SolvePrim(p, nil)
+	_, err := SolvePrimContext(context.Background(), p, nil)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("error = %v, want ErrInfeasible", err)
 	}
@@ -118,7 +118,7 @@ func TestQuickPrimProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sol, err := SolvePrim(p, rng)
+		sol, err := SolvePrimContext(context.Background(), p, &SolveOptions{RNG: rng})
 		if err != nil {
 			return errors.Is(err, ErrInfeasible)
 		}
@@ -129,7 +129,7 @@ func TestQuickPrimProperties(t *testing.T) {
 		boosted := g.Clone()
 		boosted.SetAllSwitchQubits(2 * len(p.Users))
 		bp, _ := AllUsersProblem(boosted, quantum.DefaultParams())
-		opt, err := SolveOptimal(bp)
+		opt, err := SolveOptimalContext(context.Background(), bp, nil)
 		if err != nil {
 			return false
 		}

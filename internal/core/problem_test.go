@@ -86,7 +86,7 @@ func TestSufficientCapacity(t *testing.T) {
 func TestSolutionRateAndMeasurementFactor(t *testing.T) {
 	g := fourUserNet(t)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	sol, err := SolveOptimal(p)
+	sol, err := SolveOptimalContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,11 @@ func TestProblemValidateRejectsNil(t *testing.T) {
 func TestSolverAdapters(t *testing.T) {
 	g := fourUserNet(t)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	for _, s := range []Solver{Optimal(), ConflictFree(), Prim(0), Prim(11)} {
+	for _, s := range []Solver{
+		SolverFunc{ID: "alg2", Fn: SolveOptimalContext},
+		SolverFunc{ID: "alg3", Fn: SolveConflictFreeContext},
+		Prim(0), Prim(11),
+	} {
 		sol, err := s.Solve(context.Background(), p, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

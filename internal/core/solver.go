@@ -199,8 +199,7 @@ func (s SolveStats) String() string {
 }
 
 // ctxErr reports whether the solve should abort: a non-nil error is the
-// context's cancellation cause. A nil context never cancels (convenience
-// for legacy entry points).
+// context's cancellation cause. A nil context never cancels.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -243,16 +242,6 @@ func (s SolverFunc) Name() string { return s.ID }
 // Solve implements Solver.
 func (s SolverFunc) Solve(ctx context.Context, p *Problem, opts *SolveOptions) (*Solution, error) {
 	return s.Fn(ctx, p, opts)
-}
-
-// Optimal returns Algorithm 2 as a Solver.
-func Optimal() Solver {
-	return SolverFunc{ID: "alg2", Fn: SolveOptimalContext}
-}
-
-// ConflictFree returns Algorithm 3 as a Solver.
-func ConflictFree() Solver {
-	return SolverFunc{ID: "alg3", Fn: SolveConflictFreeContext}
 }
 
 // Prim returns Algorithm 4 as a Solver. Seed semantics:

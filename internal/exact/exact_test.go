@@ -13,6 +13,9 @@ import (
 	"github.com/muerp/quantumnet/internal/quantum"
 )
 
+// alg3 is Algorithm 3 as a Solver, the heuristic these tests measure.
+var alg3 core.Solver = core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext}
+
 // smallNet builds a connected random net small enough for exact search.
 func smallNet(rng *rand.Rand, users, switches, qubits int) *graph.Graph {
 	n := users + switches
@@ -60,7 +63,7 @@ func TestSolveValidatesAndBeatsHeuristics(t *testing.T) {
 		if err != nil {
 			if errors.Is(err, core.ErrInfeasible) {
 				// Then the heuristics must fail too.
-				if _, err := core.SolveConflictFree(p); !errors.Is(err, core.ErrInfeasible) {
+				if _, err := core.SolveConflictFreeContext(context.Background(), p, nil); !errors.Is(err, core.ErrInfeasible) {
 					t.Fatalf("net %d: exact infeasible but alg3 = %v", i, err)
 				}
 				continue
@@ -70,7 +73,7 @@ func TestSolveValidatesAndBeatsHeuristics(t *testing.T) {
 		if err := p.Validate(opt); err != nil {
 			t.Fatalf("net %d: exact tree invalid: %v", i, err)
 		}
-		for _, solver := range []core.Solver{core.ConflictFree(), core.Prim(0)} {
+		for _, solver := range []core.Solver{alg3, core.Prim(0)} {
 			sol, err := solver.Solve(context.Background(), p, nil)
 			if err != nil {
 				continue // a heuristic may fail where exact succeeds
@@ -94,7 +97,7 @@ func TestSolveMatchesTheoremThree(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		alg2, err := core.SolveOptimal(p)
+		alg2, err := core.SolveOptimalContext(context.Background(), p, nil)
 		if err != nil {
 			t.Fatalf("net %d: alg2 failed on exact-feasible instance: %v", i, err)
 		}
@@ -162,7 +165,7 @@ func TestOptimalityGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := smallNet(rng, 3, 4, 2)
 	p := mustProblem(t, g)
-	gap, err := OptimalityGap(context.Background(), p, core.ConflictFree(), DefaultLimits())
+	gap, err := OptimalityGap(context.Background(), p, alg3, DefaultLimits())
 	if err != nil {
 		if errors.Is(err, core.ErrInfeasible) {
 			t.Skip("instance infeasible")
@@ -193,7 +196,7 @@ func TestQuickHeuristicGapsBounded(t *testing.T) {
 		if err != nil {
 			return errors.Is(err, core.ErrInfeasible) || errors.Is(err, ErrChannelBlowup)
 		}
-		for _, solver := range []core.Solver{core.ConflictFree(), core.Prim(0)} {
+		for _, solver := range []core.Solver{alg3, core.Prim(0)} {
 			sol, err := solver.Solve(context.Background(), p, nil)
 			if err != nil {
 				if !errors.Is(err, core.ErrInfeasible) {

@@ -1,6 +1,7 @@
 package fidelity
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -191,7 +192,7 @@ func TestSolveFidelityConstrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Router{Params: p.Params, Model: DefaultModel(), MinFidelity: 0.8}
-	sol, err := Solve(p, r)
+	sol, err := Solve(context.Background(), p, r)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -214,7 +215,7 @@ func TestSolveInfeasibleFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Router{Params: p.Params, Model: Model{W0: 0.8, Beta: 1e-4}, MinFidelity: 0.99}
-	_, err = Solve(p, r)
+	_, err = Solve(context.Background(), p, r)
 	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("error = %v, want ErrInfeasible", err)
 	}
@@ -230,7 +231,7 @@ func TestSolveTightensWithFloor(t *testing.T) {
 	m := Model{W0: 0.9, Beta: 1e-6}
 	prev := math.Inf(1)
 	for _, floor := range []float64{0, 0.5, 0.85, 0.9} {
-		sol, err := Solve(p, Router{Params: p.Params, Model: m, MinFidelity: floor})
+		sol, err := Solve(context.Background(), p, Router{Params: p.Params, Model: m, MinFidelity: floor})
 		if err != nil {
 			break // floors can become infeasible; that's fine
 		}
@@ -345,4 +346,22 @@ func randomFidelityNet(rng *rand.Rand) *graph.Graph {
 		}
 	}
 	return g
+}
+
+func TestSolveCancelled(t *testing.T) {
+	g := fidelityNet(t)
+	p, err := core.AllUsersProblem(g, quantum.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Router{Params: p.Params, Model: DefaultModel(), MinFidelity: 0.8}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Solve(ctx, p, r); !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want context.Canceled", err)
+	}
+	// A nil ctx must behave as one that never cancels, as in core.
+	if _, err := Solve(nil, p, r); err != nil {
+		t.Fatalf("Solve(nil ctx): %v", err)
+	}
 }

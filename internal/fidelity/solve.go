@@ -1,6 +1,7 @@
 package fidelity
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/muerp/quantumnet/internal/core"
@@ -18,8 +19,9 @@ var ErrInfeasible = fmt.Errorf("%w under the fidelity floor", core.ErrInfeasible
 // as its inner oracle): grow the tree from the first user, each round
 // committing the maximum-rate channel to an out-of-tree user whose
 // end-to-end fidelity meets the router's floor, under live switch
-// capacity.
-func Solve(p *core.Problem, r Router) (*core.Solution, error) {
+// capacity. A cancelled ctx aborts the solve between rounds; a nil ctx
+// never cancels.
+func Solve(ctx context.Context, p *core.Problem, r Router) (*core.Solution, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -29,6 +31,11 @@ func Solve(p *core.Problem, r Router) (*core.Solution, error) {
 	tree := quantum.Tree{}
 
 	for len(inTree) < len(p.Users) {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("fidelity: %w", err)
+			}
+		}
 		var best quantum.Channel
 		found := false
 		for _, src := range p.Users {

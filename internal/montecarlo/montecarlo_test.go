@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,14 +173,14 @@ func TestSimulateRoutedSolutionsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solvers := map[string]func() (*core.Solution, error){
-		"alg2": func() (*core.Solution, error) { return core.SolveOptimal(p) },
-		"alg3": func() (*core.Solution, error) { return core.SolveConflictFree(p) },
-		"alg4": func() (*core.Solution, error) { return core.SolvePrim(p, nil) },
+	solvers := map[string]core.SolveFunc{
+		"alg2": core.SolveOptimalContext,
+		"alg3": core.SolveConflictFreeContext,
+		"alg4": core.SolvePrimContext,
 	}
 	for name, solve := range solvers {
 		t.Run(name, func(t *testing.T) {
-			sol, err := solve()
+			sol, err := solve(context.Background(), p, nil)
 			if err != nil {
 				t.Fatalf("solve: %v", err)
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // Footprint is the flat, allocation-free form of a per-switch qubit load
-// (Tree.QubitLoad's map shape). It is a sparse set in the graph.Searcher
+// (switch → qubits demanded). It is a sparse set in the graph.Searcher
 // mold: a dense key list carries the touched switches in insertion order, a
 // per-graph position array gives O(1) membership and lookup, and Reset
 // clears only what the last use touched. One footprint is sized to one
@@ -117,8 +117,8 @@ func (f *Footprint) Max() int {
 	return max
 }
 
-// Touches reports whether any switch in ids carries load — the LoadTouches
-// twin, O(len(ids)) against the sparse index instead of a map probe per id.
+// Touches reports whether any switch in ids carries load, in O(len(ids))
+// against the sparse index.
 func (f *Footprint) Touches(ids []graph.NodeID) bool {
 	for _, id := range ids {
 		if int(id) < len(f.pos) && id >= 0 && f.pos[id] != 0 {
@@ -165,17 +165,9 @@ func (f *Footprint) AddEntries(entries []LoadEntry) {
 	}
 }
 
-// AddMap accumulates a QubitLoad-shaped map into the footprint. Key order
-// is nondeterministic (map iteration); Sort before exporting.
-func (f *Footprint) AddMap(load map[graph.NodeID]int) {
-	for id, q := range load {
-		f.Add(id, q)
-	}
-}
-
 // AddTree accumulates a tree's per-switch qubit load (2 per transiting
-// channel) — the flat form of Tree.QubitLoad, walking channel interiors
-// without the per-channel slice copy Channel.Interior makes.
+// channel), walking channel interiors without the per-channel slice copy
+// Channel.Interior makes.
 func (f *Footprint) AddTree(t Tree) {
 	for _, c := range t.Channels {
 		nodes := c.Nodes
@@ -183,16 +175,6 @@ func (f *Footprint) AddTree(t Tree) {
 			f.Add(nodes[i], 2)
 		}
 	}
-}
-
-// ToMap exports the footprint as a fresh QubitLoad-shaped map (test and
-// shim use; the hot path never calls it).
-func (f *Footprint) ToMap() map[graph.NodeID]int {
-	load := make(map[graph.NodeID]int, len(f.keys))
-	for i, id := range f.keys {
-		load[id] = f.load[i]
-	}
-	return load
 }
 
 func (f *Footprint) check(id graph.NodeID) {

@@ -229,49 +229,6 @@ func (l *Ledger) Clone() *Ledger {
 	return c
 }
 
-// Fits reports whether the ledger can absorb the given per-switch qubit
-// load right now (load is Tree.QubitLoad's shape: switch → qubits
-// demanded). It is the map-form reference the flat paths are tested
-// against.
-func (l *Ledger) Fits(load map[graph.NodeID]int) bool {
-	for id, need := range load {
-		l.check(id)
-		if l.free[id] < need {
-			return false
-		}
-	}
-	return true
-}
-
-// LoadTouches reports whether any switch in ids carries load — the
-// conflict pre-filter between a candidate tree's footprint and the
-// switches ClosedSince reports closed after the tree's base epoch. No
-// touch (with an unbroken epoch and per-switch demand ≤ 2) proves every
-// switch the tree needs still has the 2 free qubits a channel charges,
-// without reading the budgets.
-func LoadTouches(load map[graph.NodeID]int, ids []graph.NodeID) bool {
-	for _, id := range ids {
-		if load[id] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxLoad returns the largest per-switch demand in a load map (0 when
-// empty). Demand above 2 at any switch means the epoch pre-filter alone
-// cannot prove capacity — concurrent commits may have drained a still-open
-// switch below the demand — and the caller must fall back to Fits.
-func MaxLoad(load map[graph.NodeID]int) int {
-	max := 0
-	for _, n := range load {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // UsedQubits returns the total number of qubits currently reserved across
 // all switches.
 func (l *Ledger) UsedQubits() int {

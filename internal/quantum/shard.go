@@ -3,7 +3,6 @@ package quantum
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/muerp/quantumnet/internal/graph"
 )
@@ -30,24 +29,8 @@ type LoadEntry struct {
 // to its global serial path.
 var ErrTxnConflict = errors.New("quantum: reservation conflicts with shard ledger")
 
-// SortedLoad flattens a Tree.QubitLoad map into entries sorted by ascending
-// switch ID. The deterministic order matters: ReserveLoad appends closures
-// in entry order, and recovery replays the same entries from the WAL, so
-// live and replayed closure logs match byte for byte.
-func SortedLoad(load map[graph.NodeID]int) []LoadEntry {
-	if len(load) == 0 {
-		return nil
-	}
-	entries := make([]LoadEntry, 0, len(load))
-	for id, q := range load {
-		entries = append(entries, LoadEntry{ID: id, Qubits: q})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	return entries
-}
-
-// FitsLoad is Fits over a load slice: every entry's switch must have at
-// least its demanded qubits free right now.
+// FitsLoad reports whether every entry's switch has at least its demanded
+// qubits free right now.
 func (l *Ledger) FitsLoad(entries []LoadEntry) bool {
 	for _, e := range entries {
 		l.check(e.ID)
@@ -58,9 +41,9 @@ func (l *Ledger) FitsLoad(entries []LoadEntry) bool {
 	return true
 }
 
-// LoadEntriesTouch reports whether any switch in ids appears in entries —
-// the slice-shaped twin of LoadTouches, used by the cross-region commit to
-// pre-filter a prepared slice against the closures since its base epoch.
+// LoadEntriesTouch reports whether any switch in ids appears in entries.
+// The cross-region commit uses it to pre-filter a prepared slice against
+// the closures since its base epoch.
 func LoadEntriesTouch(entries []LoadEntry, ids []graph.NodeID) bool {
 	for _, id := range ids {
 		for _, e := range entries {
@@ -87,9 +70,10 @@ func MaxLoadEntries(entries []LoadEntry) int {
 // ReserveLoad charges every entry's qubits at its switch, all or nothing:
 // when some switch lacks capacity it fails without side effects. Like
 // Reserve, a charge that drops a switch below 2 free qubits appends it to
-// the closure log; entries are applied in slice order, so pass SortedLoad
-// output (or a recovered record of it) for deterministic logs. Entries must
-// carry positive, even demands — channel charges come in pairs.
+// the closure log; entries are applied in slice order, so pass them sorted
+// by switch ID (or a recovered record of them) for deterministic logs.
+// Entries must carry positive, even demands — channel charges come in
+// pairs.
 func (l *Ledger) ReserveLoad(entries []LoadEntry) error {
 	for _, e := range entries {
 		l.check(e.ID)

@@ -48,20 +48,6 @@ func (t Tree) Users() map[graph.NodeID]bool {
 	return users
 }
 
-// QubitLoad returns, per switch, the number of qubits the tree consumes
-// (2 per transiting channel). It allocates a fresh map per call and exists
-// for external callers and tests; the admission hot path uses the flat
-// Footprint.AddTree form instead.
-func (t Tree) QubitLoad() map[graph.NodeID]int {
-	load := make(map[graph.NodeID]int)
-	for _, c := range t.Channels {
-		for _, s := range c.Interior() {
-			load[s] += 2
-		}
-	}
-	return load
-}
-
 // Tree validation errors.
 var (
 	ErrNotSpanning     = errors.New("quantum: tree does not span the user set")

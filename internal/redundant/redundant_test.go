@@ -1,6 +1,7 @@
 package redundant
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,7 +32,7 @@ func mustBase(t *testing.T, g *graph.Graph) (*core.Problem, *core.Solution) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := core.SolveConflictFree(p)
+	sol, err := core.SolveConflictFreeContext(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestQuickBoostSound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		base, err := core.SolveConflictFree(p)
+		base, err := core.SolveConflictFreeContext(context.Background(), p, nil)
 		if err != nil {
 			return true // infeasible instance: nothing to boost
 		}

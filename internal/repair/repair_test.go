@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -36,7 +37,7 @@ func solve(t *testing.T, g *graph.Graph) (*core.Problem, *core.Solution) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := core.SolveConflictFree(prob)
+	sol, err := core.SolveConflictFreeContext(context.Background(), prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestQuickRepairSound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sol, err := core.SolveConflictFree(prob)
+		sol, err := core.SolveConflictFreeContext(context.Background(), prob, nil)
 		if err != nil {
 			return errors.Is(err, core.ErrInfeasible)
 		}

@@ -7,8 +7,8 @@
 // aggregates per-round success of the whole entanglement tree.
 //
 // Every node (controller, users, switches) runs as its own goroutine and
-// communicates exclusively through a transport.Network, so the same
-// protocol runs unchanged over the in-memory plane or real TCP sockets.
+// communicates exclusively through a transport.Network (in practice the
+// in-memory plane), never through shared state.
 package runtime
 
 import (

@@ -32,7 +32,7 @@ func testNet(t *testing.T) *graph.Graph {
 
 func testConfig(rounds int) Config {
 	return Config{
-		Solver: core.ConflictFree(),
+		Solver: core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext},
 		Params: quantum.DefaultParams(),
 		Rounds: rounds,
 		Seed:   42,
@@ -121,42 +121,12 @@ func TestRunDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestRunOverTCP(t *testing.T) {
-	g := testNet(t)
-	hub, err := transport.NewTCPHub("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = hub.Close() }()
-	net := transport.NewTCPNetwork(hub.Addr())
-	defer func() { _ = net.Close() }()
-	report, err := Run(runCtx(t), net, g, testConfig(300))
-	if err != nil {
-		t.Fatalf("Run over TCP: %v", err)
-	}
-	if report.Rounds != 300 {
-		t.Fatalf("Rounds = %d", report.Rounds)
-	}
-
-	// Same seed over the in-memory plane gives the identical outcome: the
-	// protocol's draws do not depend on transport timing.
-	mem := transport.NewInMemory()
-	defer func() { _ = mem.Close() }()
-	memReport, err := Run(runCtx(t), mem, g, testConfig(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memReport.Successes != report.Successes {
-		t.Fatalf("tcp %d successes, in-memory %d", report.Successes, memReport.Successes)
-	}
-}
-
 func TestRunWithNFusionMeasurementFactor(t *testing.T) {
 	g := testNet(t)
 	net := transport.NewInMemory()
 	defer func() { _ = net.Close() }()
 	cfg := testConfig(6000)
-	cfg.Solver = baseline.NFusion()
+	cfg.Solver = core.SolverFunc{ID: "nfusion", Fn: baseline.SolveNFusionContext}
 	report, err := Run(runCtx(t), net, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -258,11 +228,11 @@ func TestReportAccessorsOnZeroValue(t *testing.T) {
 func TestRunWithEverySolver(t *testing.T) {
 	g := testNet(t)
 	solvers := []core.Solver{
-		core.Optimal(), // testNet switches have 8 >= 2|U| = 6 qubits
-		core.ConflictFree(),
+		core.SolverFunc{ID: "alg2", Fn: core.SolveOptimalContext}, // testNet switches have 8 >= 2|U| = 6 qubits
+		core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext},
 		core.Prim(7),
-		baseline.EQCast(),
-		baseline.NFusion(),
+		core.SolverFunc{ID: "eqcast", Fn: baseline.SolveEQCastContext},
+		core.SolverFunc{ID: "nfusion", Fn: baseline.SolveNFusionContext},
 	}
 	for _, solver := range solvers {
 		t.Run(solver.Name(), func(t *testing.T) {

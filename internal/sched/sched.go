@@ -2,7 +2,8 @@
 // (multi-user sessions) arrive over time, each holding its routed tree's
 // switch qubits for a duration, and an admission controller routes them on
 // the *residual* capacity — the dynamic counterpart of the paper's one-shot
-// MUERP, and the natural operational layer above the multigroup extension.
+// MUERP. It also serves the paper's concurrent multi-group extension: each
+// session is one group, and every group's tree shares one qubit ledger.
 //
 // The model is an offline discrete-event simulation: arrivals are processed
 // in time order; a session accepted at time t releases its qubits at

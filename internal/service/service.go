@@ -78,8 +78,9 @@ type Config struct {
 	// lock acquisition. Default 16.
 	MaxBatch int
 	// MaxWait is how long the admission loop waits for a batch to fill
-	// after its first request arrives; 0 drains only what is already
-	// queued. Default 2ms.
+	// after its first request arrives. Zero takes the 2ms default; a
+	// negative value turns the wait off, so a batch takes only what is
+	// already queued.
 	MaxWait time.Duration
 	// Workers is ignored: every micro-batch is decided serially, and
 	// parallelism comes from sharding.
@@ -150,9 +151,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
-	} else if c.MaxWait == 0 {
+	if c.MaxWait == 0 {
 		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.DefaultTTL <= 0 {
@@ -565,7 +564,8 @@ func (s *Server) drain() {
 
 // fillBatch grows a batch around its first request: it keeps dequeuing until
 // the batch is full, MaxWait has passed since the first request was taken,
-// or shutdown starts. With MaxWait 0 it takes only what is already queued.
+// or shutdown starts. With a negative MaxWait it takes only what is already
+// queued.
 func (s *Server) fillBatch(first *pending) []*pending {
 	batch := append(make([]*pending, 0, s.cfg.MaxBatch), first)
 	var timeout <-chan time.Time

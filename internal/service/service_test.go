@@ -561,8 +561,46 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Clock == nil {
 		t.Fatal("no default clock")
 	}
-	if c2 := (Config{MaxWait: -1}).withDefaults(); c2.MaxWait != 0 {
-		t.Fatalf("negative MaxWait = %v, want 0 (drain-only)", c2.MaxWait)
+	// A negative MaxWait (no batch-fill wait) is kept as it is, so a second
+	// defaulting pass cannot turn it into the 2ms default.
+	if c2 := (Config{MaxWait: -1}).withDefaults(); c2.MaxWait != -1 {
+		t.Fatalf("negative MaxWait = %v, want it kept (no wait)", c2.MaxWait)
+	}
+	if again := c.withDefaults(); again != c {
+		t.Fatalf("defaulting twice changed the config: %+v vs %+v", again, c)
+	}
+}
+
+// TestMaxWaitReachesEveryShard pins that defaulting runs to the same result
+// however often it runs: a standalone Server and every shard of a sharded
+// plane see the plane's effective MaxWait, including "no wait".
+func TestMaxWaitReachesEveryShard(t *testing.T) {
+	for _, tc := range []struct {
+		set, want time.Duration
+	}{
+		{0, 2 * time.Millisecond},
+		{-1, -1},
+		{5 * time.Millisecond, 5 * time.Millisecond},
+	} {
+		s := newTestServer(t, Config{MaxWait: tc.set})
+		if s.cfg.MaxWait != tc.want {
+			t.Errorf("New(MaxWait %v): effective %v, want %v", tc.set, s.cfg.MaxWait, tc.want)
+		}
+		sh, err := NewSharded(ShardedConfig{Config: Config{Graph: clusterGraph(t, 2, 3, 2, 4), MaxWait: tc.set}, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.base.MaxWait != tc.want {
+			t.Errorf("NewSharded(MaxWait %v): plane %v, want %v", tc.set, sh.base.MaxWait, tc.want)
+		}
+		for i, shard := range sh.shards {
+			if shard.cfg.MaxWait != tc.want {
+				t.Errorf("NewSharded(MaxWait %v): shard %d effective %v, want %v", tc.set, i, shard.cfg.MaxWait, tc.want)
+			}
+		}
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -435,7 +435,7 @@ func (s *ShardedServer) rejectionStands() bool {
 // backing must be fresh per call — installed plans outlive the attempt
 // (sessions keep them for release, WAL records serialize them off-thread) —
 // but that one allocation replaces the old path's K maps + K sorted slices
-// + the QubitLoad map. On return crossFP still holds the whole tree's
+// + a per-tree load map. On return crossFP still holds the whole tree's
 // demand; tryCommit's validation reads it.
 func (s *ShardedServer) splitLoad(tree quantum.Tree) [][]quantum.LoadEntry {
 	fp := s.crossFP

@@ -1,14 +1,8 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 
-	"github.com/muerp/quantumnet/internal/baseline"
-	"github.com/muerp/quantumnet/internal/core"
-	"github.com/muerp/quantumnet/internal/graph"
-	"github.com/muerp/quantumnet/internal/stats"
 	"github.com/muerp/quantumnet/internal/topology"
 )
 
@@ -17,46 +11,46 @@ import (
 // reconstruction) and measures what it is worth on the paper's default
 // workload.
 
-// variant is one arm of an ablation: a name and a routing function that
-// scores one network (0 = infeasible).
-type variant struct {
-	name string
-	rate func(g *graph.Graph, rng *rand.Rand) (float64, error)
+// arm is one column of an ablation: the column name it is reported under
+// and the registered scheme scored there.
+type arm struct {
+	column string
+	scheme string
 }
 
-// runAblation draws cfg.Networks networks and scores every variant on each.
-func runAblation(label string, cfg Config, variants []variant) (PointResult, error) {
-	if cfg.Networks <= 0 {
-		return PointResult{}, errors.New("sim: Networks must be positive")
+// compareSchemes scores every arm's scheme on the same cfg.Networks
+// networks through RunPoint, so each tree is validated and only the schemes
+// that declare ConsumesRNG draw from the per-network stream, in arm order.
+// The result is reported under the arms' column names.
+func compareSchemes(cfg Config, figure, label, title string, arms []arm) (Series, error) {
+	cfg.Algorithms = make([]string, len(arms))
+	for i, a := range arms {
+		cfg.Algorithms[i] = a.scheme
 	}
-	point := PointResult{Label: label, Summary: make(map[string]stats.Summary, len(variants))}
-	rates := make(map[string][]float64, len(variants))
-	for i := 0; i < cfg.Networks; i++ {
-		rng := rand.New(rand.NewSource(networkSeed(cfg.Seed, i)))
-		g, err := topology.Generate(cfg.Topology, rng)
-		if err != nil {
-			return PointResult{}, fmt.Errorf("sim: ablation network %d: %w", i, err)
+	point, err := RunPoint(label, 0, cfg)
+	if err != nil {
+		return Series{}, err
+	}
+	point.Summary = relabel(point.Summary, arms)
+	point.Work = relabel(point.Work, arms)
+	for i := range point.Trials {
+		tr := &point.Trials[i]
+		tr.Rates = relabel(tr.Rates, arms)
+		tr.Failures = relabel(tr.Failures, arms)
+		tr.Work = relabel(tr.Work, arms)
+	}
+	return Series{Figure: figure, Title: title, XLabel: "ablation", Points: []PointResult{point}}, nil
+}
+
+// relabel re-keys a per-scheme map by the arms' column names.
+func relabel[V any](m map[string]V, arms []arm) map[string]V {
+	out := make(map[string]V, len(m))
+	for _, a := range arms {
+		if v, ok := m[a.scheme]; ok {
+			out[a.column] = v
 		}
-		trial := TrialResult{Network: i, Rates: map[string]float64{}, Failures: map[string]string{}}
-		for _, v := range variants {
-			rate, err := v.rate(g, rng)
-			if err != nil {
-				if errors.Is(err, core.ErrInfeasible) {
-					rate = 0
-					trial.Failures[v.name] = err.Error()
-				} else {
-					return PointResult{}, fmt.Errorf("sim: ablation %s on network %d: %w", v.name, i, err)
-				}
-			}
-			trial.Rates[v.name] = rate
-			rates[v.name] = append(rates[v.name], rate)
-		}
-		point.Trials = append(point.Trials, trial)
 	}
-	for _, v := range variants {
-		point.Summary[v.name] = stats.Summarize(rates[v.name])
-	}
-	return point, nil
+	return out
 }
 
 // AblationReplayOrder compares Algorithm 3's phase-1 replay orders
@@ -64,117 +58,26 @@ func runAblation(label string, cfg Config, variants []variant) (PointResult, err
 // The greedy rule should dominate, quantifying the "retain the channel with
 // the maximum entanglement rate" decision.
 func AblationReplayOrder(cfg Config) (Series, error) {
-	mk := func(order core.ReplayOrder) func(*graph.Graph, *rand.Rand) (float64, error) {
-		return func(g *graph.Graph, rng *rand.Rand) (float64, error) {
-			prob, err := core.AllUsersProblem(g, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			sol, err := core.SolveConflictFreeOrdered(prob, order, rng)
-			if err != nil {
-				return 0, err
-			}
-			if err := prob.Validate(sol); err != nil {
-				return 0, err
-			}
-			return sol.Rate(), nil
-		}
-	}
-	point, err := runAblation("replay-order", cfg, []variant{
-		{name: "descending", rate: mk(core.ReplayDescending)},
-		{name: "ascending", rate: mk(core.ReplayAscending)},
-		{name: "random", rate: mk(core.ReplayRandom)},
-	})
-	if err != nil {
-		return Series{}, err
-	}
-	return Series{
-		Figure: "ablation-replay",
-		Title:  "Algorithm 3 phase-1 replay order (paper rule = descending)",
-		XLabel: "ablation",
-		Points: []PointResult{point},
-	}, nil
+	return compareSchemes(cfg, "ablation-replay", "replay-order",
+		"Algorithm 3 phase-1 replay order (paper rule = descending)",
+		[]arm{{"descending", "alg3"}, {"ascending", "alg3-ascending"}, {"random", "alg3-random"}})
 }
 
 // AblationPrimStart compares Algorithm 4's random starting user against the
 // best over all starts, bounding the value a smarter start could add.
 func AblationPrimStart(cfg Config) (Series, error) {
-	random := func(g *graph.Graph, rng *rand.Rand) (float64, error) {
-		prob, err := core.AllUsersProblem(g, cfg.Params)
-		if err != nil {
-			return 0, err
-		}
-		sol, err := core.SolvePrim(prob, rng)
-		if err != nil {
-			return 0, err
-		}
-		return sol.Rate(), nil
-	}
-	best := func(g *graph.Graph, _ *rand.Rand) (float64, error) {
-		prob, err := core.AllUsersProblem(g, cfg.Params)
-		if err != nil {
-			return 0, err
-		}
-		sol, err := core.SolvePrimBestOfAllStarts(prob)
-		if err != nil {
-			return 0, err
-		}
-		return sol.Rate(), nil
-	}
-	point, err := runAblation("prim-start", cfg, []variant{
-		{name: "random-start", rate: random},
-		{name: "best-start", rate: best},
-	})
-	if err != nil {
-		return Series{}, err
-	}
-	return Series{
-		Figure: "ablation-prim-start",
-		Title:  "Algorithm 4 starting user: paper's random pick vs best of all starts",
-		XLabel: "ablation",
-		Points: []PointResult{point},
-	}, nil
+	return compareSchemes(cfg, "ablation-prim-start", "prim-start",
+		"Algorithm 4 starting user: paper's random pick vs best of all starts",
+		[]arm{{"random-start", "alg4"}, {"best-start", "alg4-beststart"}})
 }
 
 // AblationNFusionHub compares our charitable best-hub N-FUSION against
 // pinning the hub to the first user, bounding how much the reconstruction
 // choice flatters the baseline.
 func AblationNFusionHub(cfg Config) (Series, error) {
-	best := func(g *graph.Graph, _ *rand.Rand) (float64, error) {
-		prob, err := core.AllUsersProblem(g, cfg.Params)
-		if err != nil {
-			return 0, err
-		}
-		sol, err := baseline.SolveNFusion(prob)
-		if err != nil {
-			return 0, err
-		}
-		return sol.Rate(), nil
-	}
-	fixed := func(g *graph.Graph, _ *rand.Rand) (float64, error) {
-		prob, err := core.AllUsersProblem(g, cfg.Params)
-		if err != nil {
-			return 0, err
-		}
-		sol, err := baseline.SolveNFusionFixedHub(prob, prob.Users[0])
-		if err != nil {
-			return 0, err
-		}
-		return sol.Rate(), nil
-	}
-	point, err := runAblation("nfusion-hub", cfg, []variant{
-		{name: "best-hub", rate: best},
-		{name: "first-hub", rate: fixed},
-	})
-	if err != nil {
-		return Series{}, err
-	}
-	return Series{
-		Figure: "ablation-nfusion-hub",
-		Title:  "N-FUSION hub selection: best user vs first user",
-		XLabel: "ablation",
-		Points: []PointResult{point},
-	}, nil
+	return compareSchemes(cfg, "ablation-nfusion-hub", "nfusion-hub",
+		"N-FUSION hub selection: best user vs first user",
+		[]arm{{"best-hub", "nfusion"}, {"first-hub", "nfusion-firsthub"}})
 }
 
 // AblationWaxmanAlpha sweeps the Waxman locality parameter, showing how the

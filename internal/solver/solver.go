@@ -4,9 +4,10 @@
 // one Entry — its SolveFunc plus the metadata that used to live as special
 // cases in the callers (does it need the sufficient-capacity network copy,
 // does it consume randomness, how is it labelled in the paper's plots) —
-// and every dispatch site (the sim harness, the public facade, the CLIs,
-// the sched/repair/multigroup extensions) resolves schemes through Get and
-// List instead of switching on names.
+// and every dispatch site (the sim harness and its ablations, the public
+// facade, the CLIs, repair and the slot engine) resolves schemes through Get
+// and List instead of switching on names. The registered SolveFunc is each
+// scheme's one entry point.
 package solver
 
 import (

@@ -1,8 +1,7 @@
 // Package transport provides the classical message plane for the
 // distributed entanglement runtime (internal/runtime): named endpoints
-// exchanging small control messages. Two implementations are provided — an
-// in-memory transport for tests and single-process simulation, and a
-// TCP+gob transport demonstrating the same protocol across real sockets.
+// exchanging small control messages. InMemory, the one implementation,
+// runs every endpoint in one process on per-endpoint channels.
 package transport
 
 import (

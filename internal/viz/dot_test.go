@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func vizNet(t *testing.T) (*graph.Graph, *core.Solution) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := core.SolveConflictFree(prob)
+	sol, err := core.SolveConflictFreeContext(context.Background(), prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 //
 //	g, _ := quantumnet.Generate(quantumnet.DefaultTopology(), 7)
 //	prob, _ := quantumnet.NewProblem(g, g.Users(), quantumnet.DefaultParams())
-//	sol, _ := quantumnet.SolveConflictFree(prob)
+//	sol, _ := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 //	fmt.Println(sol.Rate())
 package quantumnet
 
@@ -19,14 +19,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/muerp/quantumnet/internal/analysis"
-	"github.com/muerp/quantumnet/internal/baseline"
 	"github.com/muerp/quantumnet/internal/core"
 	"github.com/muerp/quantumnet/internal/exact"
 	"github.com/muerp/quantumnet/internal/fidelity"
 	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/montecarlo"
-	"github.com/muerp/quantumnet/internal/multigroup"
 	"github.com/muerp/quantumnet/internal/purify"
 	"github.com/muerp/quantumnet/internal/quantum"
 	"github.com/muerp/quantumnet/internal/redundant"
@@ -145,8 +142,7 @@ func AllUsersProblem(g *Graph, p Params) (*Problem, error) {
 // "alg2", "alg3", "alg4", "eqcast", "nfusion", the ablation variants or
 // "exact" (see SolverNames). A cancelled ctx aborts a long solve with its
 // error; opts (nil is valid) carries the RNG for stochastic schemes and an
-// optional SolveStats sink. This is the canonical entry point; the
-// per-algorithm functions below are deprecated shims around it.
+// optional SolveStats sink. It is the one entry point for every scheme.
 func Solve(ctx context.Context, algorithm string, p *Problem, opts *SolveOptions) (*Solution, error) {
 	entry, err := solver.Get(algorithm)
 	if err != nil {
@@ -158,34 +154,6 @@ func Solve(ctx context.Context, algorithm string, p *Problem, opts *SolveOptions
 // SolverNames returns every registered algorithm name in canonical plot
 // order, valid as the algorithm argument of Solve.
 func SolverNames() []string { return solver.Names() }
-
-// SolveOptimal runs the paper's Algorithm 2 (optimal when every switch has
-// at least 2|U| qubits).
-//
-// Deprecated: use Solve(ctx, "alg2", p, opts) or core's context-aware
-// solvers; this shim keeps old callers compiling and never cancels.
-func SolveOptimal(p *Problem) (*Solution, error) { return core.SolveOptimal(p) }
-
-// SolveConflictFree runs the paper's Algorithm 3.
-//
-// Deprecated: use Solve(ctx, "alg3", p, opts).
-func SolveConflictFree(p *Problem) (*Solution, error) { return core.SolveConflictFree(p) }
-
-// SolvePrim runs the paper's Algorithm 4; rng picks the random starting
-// user (nil starts from the first user deterministically).
-//
-// Deprecated: use Solve(ctx, "alg4", p, &SolveOptions{RNG: rng}).
-func SolvePrim(p *Problem, rng *rand.Rand) (*Solution, error) { return core.SolvePrim(p, rng) }
-
-// SolveEQCast runs the E-Q-CAST evaluation baseline.
-//
-// Deprecated: use Solve(ctx, "eqcast", p, opts).
-func SolveEQCast(p *Problem) (*Solution, error) { return baseline.SolveEQCast(p) }
-
-// SolveNFusion runs the N-FUSION evaluation baseline.
-//
-// Deprecated: use Solve(ctx, "nfusion", p, opts).
-func SolveNFusion(p *Problem) (*Solution, error) { return baseline.SolveNFusion(p) }
 
 // ExactLimits bounds the exhaustive solver's search size.
 type ExactLimits = exact.Limits
@@ -256,32 +224,10 @@ type (
 func DefaultFidelityModel() FidelityModel { return fidelity.DefaultModel() }
 
 // SolveWithFidelity routes the fidelity-constrained MUERP: every channel of
-// the returned tree meets the router's fidelity floor.
-func SolveWithFidelity(p *Problem, r FidelityRouter) (*Solution, error) {
-	return fidelity.Solve(p, r)
-}
-
-// Concurrent multi-group routing (the paper's second future-work
-// extension).
-type (
-	// EntanglementGroup is one independent multi-user request.
-	EntanglementGroup = multigroup.Group
-	// GroupStrategy selects how groups share switch capacity.
-	GroupStrategy = multigroup.Strategy
-	// GroupResult reports per-group outcomes.
-	GroupResult = multigroup.Result
-)
-
-// Group strategies.
-const (
-	SequentialGroups = multigroup.Sequential
-	RoundRobinGroups = multigroup.RoundRobin
-)
-
-// RouteGroups routes several independent entanglement groups over one
-// shared switch-qubit budget.
-func RouteGroups(g *Graph, groups []EntanglementGroup, p Params, strategy GroupStrategy) (GroupResult, error) {
-	return multigroup.Route(g, groups, p, strategy)
+// the returned tree meets the router's fidelity floor. A cancelled ctx
+// aborts the solve between rounds.
+func SolveWithFidelity(ctx context.Context, p *Problem, r FidelityRouter) (*Solution, error) {
+	return fidelity.Solve(ctx, p, r)
 }
 
 // Entanglement purification (BBPSSW recurrence over Werner states).
@@ -361,18 +307,6 @@ func ValidateRedundant(p *Problem, s *RedundantSolution) error { return redundan
 // DOT renders the network (and, when sol is non-nil, its routed channels)
 // as Graphviz DOT.
 func DOT(g *Graph, sol *Solution) string { return viz.DOT(g, sol) }
-
-// Structural analysis.
-
-// EdgeCriticalityReport is a full single-fiber-cut study of one network.
-type EdgeCriticalityReport = analysis.Report
-
-// AnalyzeEdgeCriticality measures, for every fiber, how the achieved
-// entanglement rate changes when that fiber alone is cut (the paper's
-// Fig. 7b "critical edges" observation, made per-edge).
-func AnalyzeEdgeCriticality(g *Graph, solver Solver, p Params) (EdgeCriticalityReport, error) {
-	return analysis.EdgeCriticality(g, solver, p)
-}
 
 // Distributed execution.
 type (

@@ -24,9 +24,9 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AllUsersProblem: %v", err)
 	}
-	sol, err := quantumnet.SolveConflictFree(prob)
+	sol, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
-		t.Fatalf("SolveConflictFree: %v", err)
+		t.Fatalf("Solve alg3: %v", err)
 	}
 	if err := prob.Validate(sol); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -98,7 +98,7 @@ func TestFacadeProblemOverUserSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := quantumnet.SolveOptimal(prob)
+	sol, err := quantumnet.Solve(context.Background(), "alg2", prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFacadeManualGraphConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := quantumnet.SolveConflictFree(prob)
+	sol, err := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
