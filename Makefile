@@ -20,17 +20,18 @@ vet:
 # race runs the data-race detector over the packages with internal
 # concurrency: core's parallel all-pairs fan-out, sim's batch pool,
 # quantum's shared ledger (the mutex-serialized mutation contract and
-# lock-free read-only use), service's admission loop + expiry wheel +
-# durability wiring + sharded two-phase router, qos's tenant scheduler and
-# token buckets (hit from every submitting goroutine), the WAL's
-# group-commit loop and snapshotter, topology's partitioner (read
-# concurrently by shards), and timesim's look-ahead seeder (one goroutine
-# seeding session RNG streams beside the slot loop; workload rides along as
-# its request source).
+# lock-free read-only use), service's serve loop (admission + expiry wheel)
+# beside HTTP handlers, durability wiring and the sharded two-phase router,
+# qos's tenant scheduler and token buckets (hit from every submitting
+# goroutine), the WAL's group-commit loop and snapshotter, topology's
+# partitioner (read concurrently by shards), timesim's look-ahead seeder
+# (one goroutine seeding session RNG streams beside the slot loop; workload
+# rides along as its request source), and muerpd's daemon tests (which read
+# the daemon's output while it runs).
 race:
 	$(GO) test -race ./internal/core ./internal/sim ./internal/quantum \
 		./internal/service ./internal/qos ./internal/wal ./internal/snapshot \
-		./internal/topology ./internal/timesim ./internal/workload
+		./internal/topology ./internal/timesim ./internal/workload ./cmd/muerpd
 
 # perfbench-build compiles and vets the benchmark module (perfbench/, built
 # offline against this checkout through its replace directive), so a change

@@ -16,7 +16,7 @@ import (
 type daemon struct {
 	cmd  *exec.Cmd
 	base string // http://host:port
-	out  *bytes.Buffer
+	out  *syncBuffer
 }
 
 func buildDaemon(t *testing.T) string {
@@ -32,7 +32,7 @@ func buildDaemon(t *testing.T) string {
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
-	var out bytes.Buffer
+	var out syncBuffer
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, args...)...)
 	cmd.Stdout = &out
 	cmd.Stderr = &out

@@ -1,7 +1,7 @@
 // Command muerpd is the online entanglement-routing daemon: it loads (or
 // generates) a quantum network, owns a live capacity ledger over it, and
-// serves entanglement-session requests over HTTP/JSON through a batching
-// admission loop (see internal/service and DESIGN.md §6).
+// serves entanglement-session requests over HTTP/JSON, deciding whatever is
+// queued in micro-batches (see internal/service and DESIGN.md §6).
 //
 // Usage:
 //
@@ -14,7 +14,6 @@
 //	-q/-alpha    physical parameters as in cmd/muerp
 //	-queue       admission queue bound          (default 256)
 //	-batch       max admission batch size       (default 16)
-//	-batch-wait  max batch fill wait            (default 2ms)
 //	-ttl         default session TTL            (default 30s)
 //	-max-ttl     TTL cap                        (default 10m)
 //	-shards      admission shards; >1 partitions the topology into regions,
@@ -95,7 +94,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		alpha     = fs.Float64("alpha", 1e-4, "fiber attenuation per km")
 		queueSize = fs.Int("queue", 256, "admission queue bound")
 		batch     = fs.Int("batch", 16, "max admission batch size")
-		batchWait = fs.Duration("batch-wait", 2*time.Millisecond, "max batch fill wait")
 		ttl       = fs.Duration("ttl", 30*time.Second, "default session TTL")
 		maxTTL    = fs.Duration("max-ttl", 10*time.Minute, "session TTL cap")
 		shards    = fs.Int("shards", 1, "admission shards (>1 partitions the topology into regions)")
@@ -135,7 +133,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Params:           quantum.Params{Alpha: *alpha, SwapProb: *swapProb},
 		QueueSize:        *queueSize,
 		MaxBatch:         *batch,
-		MaxWait:          *batchWait,
 		DefaultTTL:       *ttl,
 		MaxTTL:           *maxTTL,
 		DataDir:          *dataDir,
@@ -222,7 +219,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Shards    int           `json:"shards"`
 		Queue     int           `json:"queue"`
 		Batch     int           `json:"batch"`
-		BatchWait time.Duration `json:"batch_wait_ns"`
 		TTL       time.Duration `json:"ttl_ns"`
 		MaxTTL    time.Duration `json:"max_ttl_ns"`
 		DataDir   string        `json:"data_dir,omitempty"`
@@ -232,7 +228,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Pprof     bool          `json:"pprof,omitempty"`
 	}{
 		Addr: bound, Shards: *shards,
-		Queue: *queueSize, Batch: *batch, BatchWait: *batchWait,
+		Queue: *queueSize, Batch: *batch,
 		TTL: *ttl, MaxTTL: *maxTTL, DataDir: *dataDir, SnapEvery: *snapEvery,
 		QoSConfig: *qosFile, Tenants: tenants,
 		Pprof: *pprofAddr != "",
@@ -243,8 +239,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "muerpd config %s\n", eff)
-	fmt.Fprintf(out, "muerpd listening on http://%s (batch<=%d wait=%v queue=%d ttl=%v shards=%d tenants=%d)\n",
-		bound, *batch, *batchWait, *queueSize, *ttl, *shards, tenants)
+	fmt.Fprintf(out, "muerpd listening on http://%s (batch<=%d queue=%d ttl=%v shards=%d tenants=%d)\n",
+		bound, *batch, *queueSize, *ttl, *shards, tenants)
 
 	srv := &http.Server{Handler: handler}
 	serveErr := make(chan error, 1)

@@ -8,11 +8,31 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/muerp/quantumnet/internal/graph"
 )
+
+// syncBuffer is a bytes.Buffer safe to read while a running daemon writes
+// its output into it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 func TestVersionFlag(t *testing.T) {
 	var buf strings.Builder
@@ -32,6 +52,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-addr", "127.0.0.1:0", "-in", "/does/not/exist.json"},
 		{"-workers", "4"},      // removed: batches are decided serially
 		{"-solve-cache", "64"}, // removed with the solve cache
+		{"-batch-wait", "2ms"}, // removed: a batch is what is already queued
 	} {
 		var buf strings.Builder
 		if err := run(context.Background(), args, &buf); err == nil {
@@ -48,7 +69,7 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var buf bytes.Buffer
+	var buf syncBuffer
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{
@@ -165,7 +186,7 @@ func TestQoSConfigStartup(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var buf bytes.Buffer
+	var buf syncBuffer
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{
@@ -213,13 +234,13 @@ func TestQoSConfigStartup(t *testing.T) {
 	if eff.Addr != addr || eff.Tenants != 3 || eff.QoSConfig != qosFile || eff.Batch != 16 {
 		t.Fatalf("config line fields: %+v", eff)
 	}
-	// Every batch is decided serially: the line names no scheduler, worker
-	// count or solve cache.
+	// Every batch is decided serially from what is queued: the line names no
+	// scheduler, worker count, solve cache or batch-fill wait.
 	var fields map[string]any
 	if err := json.Unmarshal([]byte(cfgLine), &fields); err != nil {
 		t.Fatalf("config line is not a JSON object: %v", err)
 	}
-	for _, gone := range []string{"scheduler", "workers", "solve_cache"} {
+	for _, gone := range []string{"scheduler", "workers", "solve_cache", "batch_wait_ns"} {
 		if _, ok := fields[gone]; ok {
 			t.Fatalf("config line still carries %q: %s", gone, cfgLine)
 		}
@@ -302,7 +323,7 @@ func TestPprofSideListener(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var buf bytes.Buffer
+	var buf syncBuffer
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{

@@ -26,12 +26,13 @@ import (
 // that share one ledger across goroutines must serialize every Reserve and
 // Release — and any Epoch/ClosedSince reads that need to be consistent with
 // them — behind a single mutex or a single owning goroutine. This is the
-// discipline internal/service adopts: its admission loop and expiry wheel
-// both mutate the ledger only while holding the one server mutex, so each
-// micro-batch of solves observes a frozen closure history and the
-// incremental search cache stays coherent. Purely read-only use (CanRelay
-// during searches, Free, Epoch, ClosedSince) is safe from any number of
-// goroutines as long as no mutation runs at the same time.
+// discipline internal/service adopts: its serve loop (admission and expiry),
+// DELETE handlers and cross-region coordinator mutate the ledger only while
+// holding the one server mutex, so each micro-batch of solves observes a
+// frozen closure history and the incremental search cache stays coherent.
+// Purely read-only use (CanRelay during searches, Free, Epoch, ClosedSince)
+// is safe from any number of goroutines as long as no mutation runs at the
+// same time.
 //
 // The zero value is not usable; construct with NewLedger.
 type Ledger struct {

@@ -28,7 +28,8 @@ func ledgerRaceGraph(nSwitches int) *graph.Graph {
 // contract under the race detector: the ledger has no internal locking, so
 // many goroutines hammer Reserve/Release/Epoch/ClosedSince through one
 // shared mutex — the same discipline internal/service uses, where the
-// admission loop and the expiry wheel share a single server mutex. Run with
+// serve loop, DELETE handlers and cross-region coordinator share a single
+// server mutex. Run with
 // -race; any unserialized access inside the ledger would be flagged.
 func TestLedgerSerializedMutationRace(t *testing.T) {
 	const (

@@ -9,8 +9,8 @@ type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
 	// After behaves like time.After: it returns a channel that delivers one
-	// value once d has elapsed. The daemon uses it for the batch-fill wait
-	// and the expiry wheel's next-wakeup timer.
+	// value once d has elapsed. The daemon uses it for the expiry wheel's
+	// next-wakeup timer and the snapshot interval.
 	After(d time.Duration) <-chan time.Time
 }
 

@@ -226,48 +226,76 @@ func TestFakeClockExpiryWheel(t *testing.T) {
 	}
 }
 
-// TestBatchFillWaitsMaxWait pins Config.MaxWait on the fake clock: the
-// batch that takes a request arms the MaxWait timer and keeps filling until
-// it fires, so two requests submitted back to back are decided as one batch,
-// and not before the wait runs out.
-func TestBatchFillWaitsMaxWait(t *testing.T) {
-	base := time.Unix(0, 0)
-	fc := newFakeClock(base)
-	s := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Second, MaxTTL: time.Hour, Clock: fc})
+// TestBatchTakesOnlyWhatIsQueued pins the serve loop's no-wait batching on
+// the fake clock. A lone request is decided without the clock ever
+// advancing. Requests that queue while a batch is being decided are taken
+// together afterwards, in batches of at most MaxBatch.
+func TestBatchTakesOnlyWhatIsQueued(t *testing.T) {
+	const maxBatch = 4
+	fc := newFakeClock(time.Unix(0, 0))
+	s := newTestServer(t, Config{MaxBatch: maxBatch, MaxTTL: time.Hour, Clock: fc})
 
-	results := make(chan error, 2)
-	for _, users := range [][]graph.NodeID{{0, 1}, {2, 3}} {
+	if _, err := s.Submit(context.Background(), []graph.NodeID{0, 1}, time.Minute); err != nil {
+		t.Fatalf("lone request: %v", err)
+	}
+	// The accepted session's expiry timer is the only fake-clock waiter the
+	// loop arms, and it arms it after the decision: once it is there, the
+	// loop is idle in its select.
+	waitFor(t, "the serve loop never armed the expiry timer", func() bool {
+		fc.mu.Lock()
+		defer fc.mu.Unlock()
+		return len(fc.waiters) == 1
+	})
+
+	// Stall the next batch inside decide, which needs s.mu. A failing check
+	// still unlocks, so Close can drain.
+	s.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			s.mu.Unlock()
+		}
+	}()
+	results := make(chan error, 1+maxBatch+2)
+	submit := func(users []graph.NodeID) {
 		go func() {
 			_, err := s.Submit(context.Background(), users, time.Minute)
 			results <- err
 		}()
 	}
-	// Both requests are taken into the batch once the queue is empty; the
-	// batch's timer is the only fake-clock waiter (no session holds an
-	// expiry yet).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		fc.mu.Lock()
-		armed := len(fc.waiters) > 0
-		fc.mu.Unlock()
-		if armed && s.ctrs.requests.Load() == 2 && s.queue.Len() == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the batch never took both requests under an armed MaxWait timer")
-		}
-		time.Sleep(time.Millisecond)
+	submit([]graph.NodeID{2, 3})
+	waitFor(t, "the stalled batch never took its request", func() bool {
+		return s.ctrs.batches.Load() == 2 && s.queue.Len() == 0
+	})
+	for i := 0; i < maxBatch+2; i++ {
+		submit([]graph.NodeID{graph.NodeID(i % 4), graph.NodeID((i + 1) % 4)})
 	}
-	if len(results) != 0 {
-		t.Fatal("a request was decided before MaxWait ran out")
-	}
-	fc.Set(base.Add(time.Second))
-	for i := 0; i < 2; i++ {
+	waitFor(t, "the requests never queued behind the stalled batch", func() bool {
+		return s.queue.Len() == maxBatch+2
+	})
+	s.mu.Unlock()
+	locked = false
+
+	for i := 0; i < 1+maxBatch+2; i++ {
 		if err := <-results; err != nil && !errors.Is(err, core.ErrInfeasible) {
 			t.Fatalf("submit: %v", err)
 		}
 	}
-	if b := s.Metrics().Batches; b.Count != 1 || b.Requests != 2 {
-		t.Fatalf("batches %+v, want the two requests decided as one batch", b)
+	// Batches: the lone request, the stalled one, then the backlog split
+	// into a full batch and the remaining two.
+	if b := s.Metrics().Batches; b.Count != 4 || b.Requests != maxBatch+4 || b.MaxSize != maxBatch {
+		t.Fatalf("batches %+v, want 4 batches of 1, 1, %d and 2", b, maxBatch)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, msg string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -82,7 +82,7 @@ type HistogramSnapshot struct {
 }
 
 // counters are the daemon's monotonic event counts, updated atomically from
-// the HTTP handlers and the admission/expiry goroutines.
+// the HTTP handlers, the serve loop and the cross-region router.
 type counters struct {
 	requests        atomic.Int64 // admission requests received (HTTP or Submit)
 	queueFull       atomic.Int64 // requests bounced with 429
@@ -94,7 +94,7 @@ type counters struct {
 	failed          atomic.Int64 // internal solver errors
 	expired         atomic.Int64 // sessions released by the expiry wheel
 	deleted         atomic.Int64 // sessions released by DELETE
-	batches         atomic.Int64 // micro-batches drained by the admission loop
+	batches         atomic.Int64 // micro-batches drained by the serve loop
 	batchedRequests atomic.Int64 // requests across all batches
 	maxBatch        atomic.Int64 // largest batch seen
 }
@@ -128,7 +128,7 @@ type RequestMetrics struct {
 	Failed    int64 `json:"failed"`
 }
 
-// BatchMetrics aggregates the admission loop's micro-batching behaviour.
+// BatchMetrics aggregates the serve loop's micro-batching behaviour.
 type BatchMetrics struct {
 	Count    int64   `json:"count"`
 	Requests int64   `json:"requests"`

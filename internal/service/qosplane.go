@@ -11,10 +11,10 @@ import (
 	"github.com/muerp/quantumnet/internal/qos"
 )
 
-// This file wires the internal/qos subsystem in front of the admission loop
+// This file wires the internal/qos subsystem in front of the serve loop
 // (DESIGN.md §11). The qos.Scheduler — per-tenant bounded sub-queues drained
 // strict-priority-first with deficit-weighted round-robin — is the one
-// admission queue: the admission loop dequeues in its order and decides
+// admission queue: the serve loop dequeues in its order and decides
 // micro-batches serially, so solving, the ledger, durability and sharding
 // are tenant-blind. A shared token-bucket limiter throttles over-rate
 // tenants at Submit time (HTTP 429 + Retry-After), before anything is
@@ -67,7 +67,7 @@ func (s *Server) wireTenant(name string) string {
 
 // tenantStat is one tenant's SLO accounting: outcome counters plus the
 // admission-latency histogram (enqueue to decision, wall clock). All fields
-// are atomic — stats are written from Submit, the admission loop and the
+// are atomic — stats are written from Submit, the serve loop and the
 // cross-region router concurrently.
 type tenantStat struct {
 	spec qos.TenantSpec
@@ -162,9 +162,11 @@ func (s *Server) dequeue() (*pending, bool) {
 	return item.(*pending), true
 }
 
-// wakeAdmission signals the admission loop that an item was enqueued. The
-// channel is sticky (capacity 1): a signal is never lost, and the loop
-// drains the queue until empty per wakeup, so coalesced signals are fine.
+// wakeAdmission signals the serve loop that an item was enqueued, or that a
+// cross-region install added a session it must arm its expiry timer for.
+// The channel is sticky (capacity 1): a signal is never lost, and the loop
+// drains the queue until empty and re-arms per wakeup, so coalesced signals
+// are fine.
 func (s *Server) wakeAdmission() {
 	select {
 	case s.arrive <- struct{}{}:

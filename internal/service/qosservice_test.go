@@ -145,7 +145,7 @@ func TestQoSQuotaThrottleHTTP(t *testing.T) {
 // TestQoSPerTenantQueueBound pins queue isolation: a tenant with a tiny
 // sub-queue gets ErrQueueFull without consuming any other tenant's budget,
 // and the per-tenant queue-full counter attributes the bounce. The server
-// mutex is held by the test so the admission loop cannot drain: requests
+// mutex is held by the test so the serve loop cannot drain: requests
 // pile up in the QoS scheduler, and Enqueue's bound check — which is
 // synchronous — fires deterministically once the tiny queue holds one item.
 func TestQoSPerTenantQueueBound(t *testing.T) {
@@ -296,7 +296,6 @@ func TestQoSMultiTenantHammer(t *testing.T) {
 		Graph:     g,
 		QueueSize: 64,
 		MaxBatch:  4,
-		MaxWait:   100 * time.Microsecond,
 		MaxTTL:    time.Hour,
 		QoS:       qc,
 	})
@@ -502,7 +501,6 @@ func TestQoSStarvationBoundUnderLoad(t *testing.T) {
 		Graph:     g,
 		QueueSize: 32,
 		MaxBatch:  2,
-		MaxWait:   50 * time.Microsecond,
 		MaxTTL:    time.Hour,
 		QoS: &qos.Config{
 			Tenants: []qos.TenantSpec{

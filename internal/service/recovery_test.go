@@ -216,7 +216,7 @@ func TestServerRestartRecovers(t *testing.T) {
 	s2, err := New(Config{
 		Graph:    g,
 		DataDir:  dir,
-		MaxBatch: 1, // the fake clock never fires the batch-fill timer
+		MaxBatch: 1,
 		MaxTTL:   1000 * time.Hour,
 		Clock:    fc2,
 	})
@@ -307,6 +307,100 @@ func TestServerRestartRecovers(t *testing.T) {
 	}
 	if got, ok := s3.Session(info.ID); !ok || got.Tenant != "acme" {
 		t.Fatalf("session %s after the policy restart: %+v (live %v)", info.ID, got, ok)
+	}
+}
+
+// TestBootExpiresDueSessions restarts a durable server on a clock that has
+// passed some sessions' expiry and sends it no request: the serve loop's
+// first pass must release exactly those sessions with "expired" records,
+// leave a state that verifies, and a second restart must recover it byte
+// for byte.
+func TestBootExpiresDueSessions(t *testing.T) {
+	dir := t.TempDir()
+	s1, _, g := durableTrace(t, dir, 3, false) // ends with 7 live sessions
+	live := s1.StateDump().Sessions
+	crash(t, s1)
+
+	expiries := make([]time.Time, len(live))
+	for i, ss := range live {
+		expiries[i] = ss.Info.ExpiresAt
+	}
+	sort.Slice(expiries, func(i, j int) bool { return expiries[i].Before(expiries[j]) })
+	bootAt := expiries[(len(expiries)-1)/2]
+	due := map[string]bool{}
+	for _, ss := range live {
+		if !ss.Info.ExpiresAt.After(bootAt) {
+			due[ss.Info.ID] = true
+		}
+	}
+	if len(due) == 0 || len(due) == len(live) {
+		t.Fatalf("%d of %d sessions due at boot; the test needs some of each", len(due), len(live))
+	}
+
+	boot := func() *Server {
+		s, err := New(Config{
+			Graph:            g,
+			DataDir:          dir,
+			MaxBatch:         1,
+			MaxTTL:           1000 * time.Hour,
+			Clock:            newFakeClock(bootAt),
+			SnapshotEvery:    1 << 30,
+			SnapshotInterval: 1000 * time.Hour,
+		})
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		return s
+	}
+	s2 := boot()
+	waitFor(t, "due sessions were never released at boot", func() bool {
+		return s2.ActiveSessions() == len(live)-len(due)
+	})
+	if got := s2.Metrics().Sessions.Expired; got != int64(len(due)) {
+		t.Fatalf("expired counter = %d, want %d", got, len(due))
+	}
+	want := dumpJSON(t, s2.StateDump())
+	crash(t, s2)
+
+	released := map[string]bool{}
+	if _, err := wal.Replay(walDir(dir), 0, func(_ uint64, payload []byte) error {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		if rec.T == recRelease && rec.Release.At.Equal(bootAt) {
+			if rec.Release.Reason != releasedExpired {
+				t.Errorf("boot release of %s has reason %q", rec.Release.ID, rec.Release.Reason)
+			}
+			released[rec.Release.ID] = true
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("read WAL: %v", err)
+	}
+	if len(released) != len(due) {
+		t.Fatalf("boot released %d sessions in the WAL, want %d", len(released), len(due))
+	}
+	for id := range due {
+		if !released[id] {
+			t.Fatalf("due session %s has no expiry record", id)
+		}
+	}
+
+	rec, err := Recover(dir, g)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := dumpJSON(t, rec.State); string(got) != string(want) {
+		t.Fatalf("recovered state differs\nlive:      %s\nrecovered: %s", want, got)
+	}
+	if err := VerifyState(g, quantum.DefaultParams(), rec.State); err != nil {
+		t.Fatalf("recovered state fails verification: %v", err)
+	}
+	s3 := boot()
+	defer func() { _ = s3.Close() }()
+	if got := dumpJSON(t, s3.StateDump()); string(got) != string(want) {
+		t.Fatalf("second restart differs\nbefore: %s\nafter:  %s", want, got)
 	}
 }
 

@@ -6,31 +6,36 @@
 //
 // Architecture (see DESIGN.md §6, §8):
 //
-//	HTTP/Submit → DWRR queue → admission loop → decide → BuildGreedyTree
-//	                                               │ (one mutex)  │
-//	                                               └── live Ledger ←┘
-//	                                                      ▲
-//	                                       expiry wheel ──┘ (TTL / DELETE)
+//	HTTP/Submit → DWRR queue → serve loop → decide → BuildGreedyTree
+//	                               │           │ (one mutex)  │
+//	              expiry wheel ────┘           └── live Ledger ←┘
+//	              (TTL timer)                         ▲
+//	                                    DELETE ───────┘
 //
 // Requests are enqueued onto the qos.Scheduler (qosplane.go): bounded
 // per-tenant sub-queues drained deficit-weighted round-robin. Without a
 // tenant policy it holds the lone default tenant, whose queue is a plain
 // FIFO. A full queue is immediate backpressure (ErrQueueFull / HTTP 429).
-// The admission loop drains it in micro-batches and decides each batch
-// serially under one lock acquisition, so consecutive solves share a warm
-// ledger-epoch stretch for the incremental search cache and one WAL group
-// commit covers the whole batch. Accepted sessions hold their tree's switch
-// qubits until their TTL expires or they are deleted; a single expiry-wheel
-// goroutine releases capacity exactly as sched.Simulate's expireSessions
-// does, which is what makes the daemon's admission decisions match the
-// offline simulator trace for trace (pinned by the differential test).
-// Parallelism comes from sharding (sharded.go): each region shard decides
-// its own batches.
+// Each Server runs one goroutine, the serve loop, which owns admission and
+// the expiry wheel. It sleeps until a request arrives, the earliest session
+// expiry comes due, or shutdown starts. It then releases every due session
+// exactly as sched.Simulate's expireSessions does and decides whatever is
+// queued in micro-batches of up to MaxBatch. Nothing waits for a batch to
+// fill: a batch is what queued while the previous one was being decided.
+// Each batch is decided serially under one lock acquisition, so consecutive
+// solves share a warm ledger-epoch stretch for the incremental search cache
+// and one WAL group commit covers the whole batch. Accepted sessions hold
+// their tree's switch qubits until their TTL expires or they are deleted.
+// Deciding each request against the capacity held at its admission instant
+// is what makes the daemon's admission decisions match the offline
+// simulator trace for trace (pinned by the differential test). Parallelism
+// comes from sharding (sharded.go): each region shard runs its own serve
+// loop.
 //
 // Concurrency: the ledger, session table and expiry heap are guarded by
-// one mutex shared by the admission loop and the expiry wheel (the
-// contract documented on quantum.Ledger). Counters and the latency
-// histogram are atomic and lock-free.
+// one mutex, taken by the serve loop, by DELETE and, on a sharded plane, by
+// the cross-region coordinator (the contract documented on quantum.Ledger).
+// Counters and the latency histogram are atomic and lock-free.
 package service
 
 import (
@@ -77,10 +82,10 @@ type Config struct {
 	// MaxBatch caps how many requests one micro-batch admits under a single
 	// lock acquisition. Default 16.
 	MaxBatch int
-	// MaxWait is how long the admission loop waits for a batch to fill
-	// after its first request arrives. Zero takes the 2ms default; a
-	// negative value turns the wait off, so a batch takes only what is
-	// already queued.
+	// MaxWait is ignored: the serve loop decides whatever is queued when it
+	// wakes and never waits for a batch to fill.
+	//
+	// Deprecated: kept only because the perfbench module still sets it.
 	MaxWait time.Duration
 	// Workers is ignored: every micro-batch is decided serially, and
 	// parallelism comes from sharding.
@@ -150,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.DefaultTTL <= 0 {
 		c.DefaultTTL = 30 * time.Second
@@ -268,8 +270,7 @@ type Server struct {
 	tmpl *core.Problem
 
 	quit   chan struct{}
-	kick   chan struct{} // wakes the expiry wheel when the agenda changes
-	arrive chan struct{} // wakes the admission loop after an enqueue
+	arrive chan struct{} // wakes the serve loop (see wakeAdmission)
 	wg     sync.WaitGroup
 
 	// The admission queue and its tenant policy (qosplane.go).
@@ -299,8 +300,8 @@ type Server struct {
 	dur *durability
 }
 
-// New validates the configuration and starts the admission and expiry
-// goroutines. The caller must Close the returned server.
+// New validates the configuration and starts the serve loop (plus the
+// snapshotter when durable). The caller must Close the returned server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("service: nil graph")
@@ -325,7 +326,6 @@ func New(cfg Config) (*Server, error) {
 		led:      quantum.NewLedger(cfg.Graph),
 		sessions: make(map[string]*session),
 		quit:     make(chan struct{}),
-		kick:     make(chan struct{}, 1),
 		arrive:   make(chan struct{}, 1),
 		lat:      newHistogram(),
 		idPrefix: "s-",
@@ -353,9 +353,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.wg.Add(2)
-	go s.admissionLoop()
-	go s.expiryLoop()
+	s.wg.Add(1)
+	go s.serveLoop()
 	if s.dur != nil {
 		s.wg.Add(1)
 		go s.snapshotLoop()
@@ -366,8 +365,8 @@ func New(cfg Config) (*Server, error) {
 // Graph returns the topology the server routes on.
 func (s *Server) Graph() *graph.Graph { return s.cfg.Graph }
 
-// Submit enqueues one session request and blocks until the admission loop
-// decides or ctx ends; it is the programmatic face of POST /sessions.
+// Submit enqueues one session request and blocks until the serve loop
+// decides it or ctx ends; it is the programmatic face of POST /sessions.
 // ttl <= 0 means the server default; TTLs are capped at Config.MaxTTL and
 // at the tenant's own max_ttl_ms (clamped requests are counted in the
 // tenant's ttl_clamped metric).
@@ -398,7 +397,7 @@ func (s *Server) SubmitTenant(ctx context.Context, tenant string, users []graph.
 		s.ctrs.invalid.Add(1)
 		return SessionInfo{}, fmt.Errorf("%w: session needs at least 2 users, got %d", ErrInvalidRequest, len(users))
 	}
-	// Problems are built (and validated) outside the admission loop so the
+	// Problems are built (and validated) outside the serve loop so the
 	// serial section only runs the solver.
 	prob, err := s.tmpl.WithUsers(users)
 	if err != nil {
@@ -519,7 +518,7 @@ func (s *Server) deleteQuiet(id string) error {
 
 // Close stops accepting new requests, drains everything already queued
 // (each still gets a real admission decision — SIGTERM does not drop
-// accepted work), stops the admission and expiry goroutines and returns.
+// accepted work), stops the serve loop and returns.
 // Close is idempotent and safe to call concurrently.
 func (s *Server) Close() error {
 	var closeErr error
@@ -538,57 +537,53 @@ func (s *Server) Close() error {
 	return closeErr
 }
 
-// admissionLoop is the single consumer of the queue: every enqueue signal
-// drains it in micro-batches, and shutdown drains it one last time.
-func (s *Server) admissionLoop() {
+// serveLoop is the Server's one goroutine: the single consumer of the queue
+// and the expiry wheel. Each pass releases every session due now, waits for
+// those releases to be durable, arms a timer for the next expiry and sleeps
+// until it fires, a request arrives or shutdown starts. An arrival or
+// shutdown drains the queue; shutdown then ends the loop.
+func (s *Server) serveLoop() {
 	defer s.wg.Done()
 	for {
+		s.mu.Lock()
+		now := s.clock.Now()
+		s.expireLocked(now)
+		var timer <-chan time.Time
+		if len(s.expiry) > 0 {
+			timer = s.clock.After(s.expiry[0].expiresAt.Sub(now))
+		}
+		ticket := s.enqueueRecordsLocked()
+		s.mu.Unlock()
+		_ = s.waitDurable(ticket)
 		select {
 		case <-s.quit:
 			s.drain()
 			return
 		case <-s.arrive:
 			s.drain()
+		case <-timer:
 		}
 	}
 }
 
-// drain decides everything queued, one micro-batch at a time, in DWRR
-// order. At shutdown the closed quit channel cuts every batch-fill wait
-// short, so the final drain decides the backlog without waiting for more.
+// drain decides everything queued, in micro-batches of up to MaxBatch taken
+// in DWRR order from what is already queued; it never waits for more.
 func (s *Server) drain() {
-	for p, ok := s.dequeue(); ok; p, ok = s.dequeue() {
-		s.decide(s.fillBatch(p))
-	}
-}
-
-// fillBatch grows a batch around its first request: it keeps dequeuing until
-// the batch is full, MaxWait has passed since the first request was taken,
-// or shutdown starts. With a negative MaxWait it takes only what is already
-// queued.
-func (s *Server) fillBatch(first *pending) []*pending {
-	batch := append(make([]*pending, 0, s.cfg.MaxBatch), first)
-	var timeout <-chan time.Time
-	if s.cfg.MaxWait > 0 && len(batch) < s.cfg.MaxBatch {
-		timeout = s.clock.After(s.cfg.MaxWait)
-	}
-	for len(batch) < s.cfg.MaxBatch {
-		if p, ok := s.dequeue(); ok {
+	batch := make([]*pending, 0, s.cfg.MaxBatch)
+	for {
+		batch = batch[:0]
+		for len(batch) < s.cfg.MaxBatch {
+			p, ok := s.dequeue()
+			if !ok {
+				break
+			}
 			batch = append(batch, p)
-			continue
 		}
-		if timeout == nil {
-			return batch
+		if len(batch) == 0 {
+			return
 		}
-		select {
-		case <-s.arrive:
-		case <-timeout:
-			return batch
-		case <-s.quit:
-			return batch
-		}
+		s.decide(batch)
 	}
-	return batch
 }
 
 // decide decides a whole micro-batch under one lock acquisition: expiry
@@ -617,7 +612,6 @@ func (s *Server) decide(batch []*pending) {
 	for i, p := range batch {
 		p.finish(results[i])
 	}
-	s.wakeExpiry()
 }
 
 // admitOneLocked decides one request against the live ledger under s.mu.
@@ -723,38 +717,6 @@ func (s *Server) releaseLocked(sess *session, reason string, now time.Time) {
 		Reason: reason,
 		At:     now,
 	}})
-}
-
-// expiryLoop is the timer wheel: one goroutine that sleeps until the
-// earliest expiry and releases capacity, re-arming after every admission
-// (wakeExpiry) so a newly accepted short session is never missed.
-func (s *Server) expiryLoop() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		now := s.clock.Now()
-		s.expireLocked(now)
-		var timer <-chan time.Time
-		if len(s.expiry) > 0 {
-			timer = s.clock.After(s.expiry[0].expiresAt.Sub(now))
-		}
-		ticket := s.enqueueRecordsLocked()
-		s.mu.Unlock()
-		_ = s.waitDurable(ticket)
-		select {
-		case <-s.quit:
-			return
-		case <-s.kick:
-		case <-timer:
-		}
-	}
-}
-
-func (s *Server) wakeExpiry() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
 }
 
 // Metrics snapshots the daemon's counters, live queue and ledger state, and

@@ -48,7 +48,7 @@ func benchGraphBig(b *testing.B) *graph.Graph {
 // BenchmarkAdmissionLoop measures end-to-end Submit latency through the
 // queue, the batching loop and the shared-ledger solver, with short TTLs so
 // the expiry wheel keeps reclaiming capacity under load. Sub-benchmarks
-// vary the micro-batch size; parallel clients stress the batch-fill path.
+// vary the micro-batch size; parallel clients stress the drain path.
 // The durable variants run the same load with the WAL enabled, so the
 // delta is the group-commit cost: one fsync per admission batch, amortised
 // across every request that shares it.
@@ -79,7 +79,6 @@ func BenchmarkAdmissionLoop(b *testing.B) {
 				Graph:      g,
 				QueueSize:  1024,
 				MaxBatch:   bench.maxBatch,
-				MaxWait:    200 * time.Microsecond,
 				DefaultTTL: 2 * time.Millisecond,
 				MaxTTL:     time.Second,
 			}

@@ -228,7 +228,7 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
-// TestHTTPQueueFullBackpressure stalls the admission loop by holding the
+// TestHTTPQueueFullBackpressure stalls the serve loop by holding the
 // server mutex, fills the one-slot queue, and checks the next request gets
 // an immediate 429 with a Retry-After hint.
 func TestHTTPQueueFullBackpressure(t *testing.T) {
@@ -498,7 +498,7 @@ func TestSubmitContextCancellation(t *testing.T) {
 }
 
 func TestSubmitConcurrentMixedLoad(t *testing.T) {
-	s := newTestServer(t, Config{QueueSize: 128, MaxBatch: 8, MaxWait: 500 * time.Microsecond,
+	s := newTestServer(t, Config{QueueSize: 128, MaxBatch: 8,
 		DefaultTTL: 5 * time.Millisecond, MaxTTL: time.Second})
 	var wg sync.WaitGroup
 	pairs := [][]graph.NodeID{{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0, 3}, {1, 2}}
@@ -554,53 +554,15 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.QueueSize != 256 || c.MaxBatch != 16 || c.MaxWait != 2*time.Millisecond ||
+	if c.QueueSize != 256 || c.MaxBatch != 16 ||
 		c.DefaultTTL != 30*time.Second || c.MaxTTL != 10*time.Minute || c.RetryAfter != time.Second {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if c.Clock == nil {
 		t.Fatal("no default clock")
 	}
-	// A negative MaxWait (no batch-fill wait) is kept as it is, so a second
-	// defaulting pass cannot turn it into the 2ms default.
-	if c2 := (Config{MaxWait: -1}).withDefaults(); c2.MaxWait != -1 {
-		t.Fatalf("negative MaxWait = %v, want it kept (no wait)", c2.MaxWait)
-	}
 	if again := c.withDefaults(); again != c {
 		t.Fatalf("defaulting twice changed the config: %+v vs %+v", again, c)
-	}
-}
-
-// TestMaxWaitReachesEveryShard pins that defaulting runs to the same result
-// however often it runs: a standalone Server and every shard of a sharded
-// plane see the plane's effective MaxWait, including "no wait".
-func TestMaxWaitReachesEveryShard(t *testing.T) {
-	for _, tc := range []struct {
-		set, want time.Duration
-	}{
-		{0, 2 * time.Millisecond},
-		{-1, -1},
-		{5 * time.Millisecond, 5 * time.Millisecond},
-	} {
-		s := newTestServer(t, Config{MaxWait: tc.set})
-		if s.cfg.MaxWait != tc.want {
-			t.Errorf("New(MaxWait %v): effective %v, want %v", tc.set, s.cfg.MaxWait, tc.want)
-		}
-		sh, err := NewSharded(ShardedConfig{Config: Config{Graph: clusterGraph(t, 2, 3, 2, 4), MaxWait: tc.set}, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sh.base.MaxWait != tc.want {
-			t.Errorf("NewSharded(MaxWait %v): plane %v, want %v", tc.set, sh.base.MaxWait, tc.want)
-		}
-		for i, shard := range sh.shards {
-			if shard.cfg.MaxWait != tc.want {
-				t.Errorf("NewSharded(MaxWait %v): shard %d effective %v, want %v", tc.set, i, shard.cfg.MaxWait, tc.want)
-			}
-		}
-		if err := sh.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -687,7 +649,7 @@ func submitBurst(t *testing.T, s *Server, g *graph.Graph, submitters, perG int) 
 // against the topology, and re-reserving every session's channels on a
 // fresh ledger reproduces the live per-switch occupancy exactly. A decide
 // that double-booked a qubit breaks the occupancy re-derivation. Run under
-// -race this also exercises the queue, batch-fill and decide
+// -race this also exercises the queue, drain and decide
 // synchronization.
 func TestConcurrentSubmitRevalidation(t *testing.T) {
 	g := burstGraph(t, 11)

@@ -24,7 +24,7 @@ import (
 
 // This file is the sharded admission plane (DESIGN.md §9). The topology is
 // partitioned into K regions (topology.PartitionRegions); each region gets a
-// full admission Server of its own — queue, admission loop, ledger, expiry
+// full admission Server of its own — queue, serve loop, ledger, expiry
 // wheel, WAL stream and snapshot directory — over a masked clone of the
 // topology in which every foreign switch has zero qubits, confining its
 // solves to its region. A thin router classifies each request by its users'
@@ -307,7 +307,7 @@ func (s *ShardedServer) submitCross(ctx context.Context, tenant string, users []
 	// Tenant quotas apply to cross-region traffic too (the limiter is
 	// shared, so tokens spent here and on any shard draw on one bucket). The
 	// DWRR queues do not: cross-region requests are serialized by crossMu
-	// rather than queued behind the admission loop.
+	// rather than queued behind a shard's serve loop.
 	if qerr := pr.qlim.Allow(stat.spec.ID, s.clock.Now()); qerr != nil {
 		pr.ctrs.throttled.Add(1)
 		stat.throttled.Add(1)
@@ -382,9 +382,9 @@ func (s *ShardedServer) refreshView() {
 	now := s.clock.Now()
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		// Expire due sessions first, exactly as a shard's own batch loop
-		// would at this instant — the view must not count capacity that a
-		// lagging expiry goroutine still holds.
+		// Expire due sessions first, exactly as the shard's serve loop
+		// would at this instant — the view must not count capacity whose
+		// expiry the shard has not yet applied.
 		sh.expireLocked(now)
 		_ = sh.enqueueRecordsLocked()
 		for _, sw := range s.part.Switches(i) {
@@ -586,13 +586,14 @@ func (s *ShardedServer) installCrossLocked(primary int, tenant string, users []g
 }
 
 // finishCross completes a commit outside the shard locks: wait for every
-// stream's fsync (write-ahead contract) and re-arm the expiry wheels.
+// stream's fsync (write-ahead contract), then wake each involved shard's
+// serve loop so it arms its expiry timer for the new session.
 func (s *ShardedServer) finishCross(involved []int, tickets []shardTicket) {
 	for _, st := range tickets {
 		_ = st.sh.waitDurable(st.t)
 	}
 	for _, r := range involved {
-		s.shards[r].wakeExpiry()
+		s.shards[r].wakeAdmission()
 	}
 }
 

@@ -443,6 +443,55 @@ func TestShardedSessionRouting(t *testing.T) {
 	}
 }
 
+// TestShardedCrossExpiryWithoutTraffic pins that a cross-region install
+// wakes every involved shard's serve loop. Each shard idles with a timer
+// armed for a long-lived local session when the coordinator adds a shorter
+// cross-region session behind its back; the new session must still expire
+// on every shard once the fake clock passes its TTL, with no further
+// request.
+func TestShardedCrossExpiryWithoutTraffic(t *testing.T) {
+	g := bridgedClusters(t, 2, 4, 4, 8)
+	base := time.Unix(0, 0)
+	fc := newFakeClock(base)
+	s, err := NewSharded(ShardedConfig{
+		Config: Config{Graph: g, MaxBatch: 2, MaxTTL: time.Hour, Clock: fc},
+		Shards: 2, PartitionSeed: 5,
+	})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer func() { _ = s.Close() }()
+	armed := func(n int) func() bool {
+		return func() bool {
+			fc.mu.Lock()
+			defer fc.mu.Unlock()
+			return len(fc.waiters) >= n
+		}
+	}
+	byRegion := regionUsers(t, g, s.Partition())
+	for r := 0; r < 2; r++ {
+		if _, err := s.Submit(context.Background(), byRegion[r][1:3], time.Hour); err != nil {
+			t.Fatalf("local submit on region %d: %v", r, err)
+		}
+	}
+	waitFor(t, "the shards never armed timers for their local sessions", armed(2))
+	cross, err := s.Submit(context.Background(),
+		[]graph.NodeID{byRegion[0][0], byRegion[1][0]}, 10*time.Second)
+	if err != nil {
+		t.Fatalf("cross submit: %v", err)
+	}
+	waitFor(t, "the shards never re-armed for the cross-region session", armed(4))
+	fc.Set(base.Add(11 * time.Second))
+	waitFor(t, "the cross-region session never expired", func() bool {
+		return s.ActiveSessions() == 2
+	})
+	for r, sh := range s.shards {
+		if _, ok := sh.Session(cross.ID); ok {
+			t.Fatalf("cross session copy survives on shard %d past its TTL", r)
+		}
+	}
+}
+
 // shardedDurableTrace drives a durable two-shard server through a mixed
 // local/cross trace with deletes and expiries on a fake clock, quiesces it
 // and returns it still running (the caller crashes it).
@@ -659,7 +708,6 @@ func BenchmarkShardedAdmission(b *testing.B) {
 					Graph:      g,
 					QueueSize:  1024,
 					MaxBatch:   16,
-					MaxWait:    200 * time.Microsecond,
 					DefaultTTL: 2 * time.Millisecond,
 					MaxTTL:     time.Second,
 				},
