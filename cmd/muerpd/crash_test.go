@@ -198,9 +198,9 @@ func TestCrashRecovery(t *testing.T) {
 
 // TestShardedCrashRecovery reruns the crash differential against a sharded
 // daemon: sessions admitted through the region router (some of them
-// two-phase cross-region commits) must survive a SIGKILL via the per-shard
-// WAL streams, with identical active-session count and ledger occupancy
-// after the restart.
+// cross-region commits spanning several shards) must survive a SIGKILL via
+// the per-shard WAL streams, with identical active-session count and ledger
+// occupancy after the restart.
 func TestShardedCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -281,7 +281,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		t.Fatalf("only %d sessions admitted; topology too tight for the test", len(admitted))
 	}
 	if cross == 0 {
-		t.Fatal("no cross-region session admitted; the trace does not exercise two-phase commit")
+		t.Fatal("no cross-region session admitted; the trace does not exercise cross-region commits")
 	}
 	before := getMetrics(t, d1.base)
 	if before.Sessions.Active != len(admitted) {

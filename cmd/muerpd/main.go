@@ -17,11 +17,10 @@
 //	-ttl         default session TTL            (default 30s)
 //	-max-ttl     TTL cap                        (default 10m)
 //	-shards      admission shards; >1 partitions the topology into regions,
-//	             runs one admission plane per region and two-phase-commits
-//	             cross-region sessions (DESIGN.md §9; default 1)
+//	             runs one admission plane per region and decides
+//	             cross-region sessions under every region's lock
+//	             (DESIGN.md §9; default 1)
 //	-partition-seed  region partitioner seed    (default 1)
-//	-cross-retries   cross-region re-solve budget before the global
-//	             fallback (default 3)
 //	-data-dir    durable state directory (WAL + snapshots); crash recovery
 //	             restores every live session on restart (empty = in-memory)
 //	-snapshot-every / -snapshot-interval  snapshot cadence
@@ -98,7 +97,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		maxTTL    = fs.Duration("max-ttl", 10*time.Minute, "session TTL cap")
 		shards    = fs.Int("shards", 1, "admission shards (>1 partitions the topology into regions)")
 		partSeed  = fs.Int64("partition-seed", 1, "region partitioner seed")
-		crossTry  = fs.Int("cross-retries", 3, "cross-region re-solve budget before the global fallback")
 		dataDir   = fs.String("data-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")
 		snapEvery = fs.Int("snapshot-every", 1024, "snapshot after this many WAL records")
 		snapInt   = fs.Duration("snapshot-interval", 30*time.Second, "snapshot at least this often")
@@ -152,7 +150,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Config:        base,
 			Shards:        *shards,
 			PartitionSeed: *partSeed,
-			CrossRetries:  *crossTry,
 		})
 		if err != nil {
 			return err

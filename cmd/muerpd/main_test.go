@@ -50,9 +50,10 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-users", "1"},
 		{"-q", "7"},
 		{"-addr", "127.0.0.1:0", "-in", "/does/not/exist.json"},
-		{"-workers", "4"},      // removed: batches are decided serially
-		{"-solve-cache", "64"}, // removed with the solve cache
-		{"-batch-wait", "2ms"}, // removed: a batch is what is already queued
+		{"-workers", "4"},       // removed: batches are decided serially
+		{"-solve-cache", "64"},  // removed with the solve cache
+		{"-batch-wait", "2ms"},  // removed: a batch is what is already queued
+		{"-cross-retries", "3"}, // removed: cross-region requests are decided once, under the shard locks
 	} {
 		var buf strings.Builder
 		if err := run(context.Background(), args, &buf); err == nil {

@@ -37,7 +37,7 @@
 // Against a sharded daemon (muerpd -shards N) qload fetches GET /partition,
 // classifies every request by its users' regions, and prints a per-shard
 // throughput/latency breakdown — single-region traffic per home shard plus
-// one "cross" row for the sessions that went through the two-phase
+// one "cross" row for the sessions that went through the locked
 // cross-region path — alongside the server's router counters. The -affinity
 // knob controls that mix: each generated session is rewritten with the given
 // probability to draw all its users from a single region (regions rotate
@@ -596,10 +596,6 @@ func printServerMetrics(ctx context.Context, client *http.Client, base string, o
 			CrossRegion     int64   `json:"cross_region"`
 			CrossRegionRate float64 `json:"cross_region_rate"`
 			Prepares        int64   `json:"prepares"`
-			Conflicts       int64   `json:"conflicts"`
-			Retries         int64   `json:"retries"`
-			Aborts          int64   `json:"aborts"`
-			GlobalFallbacks int64   `json:"global_fallbacks"`
 		} `json:"router"`
 		Tenants []struct {
 			ID        string `json:"id"`
@@ -621,9 +617,8 @@ func printServerMetrics(ctx context.Context, client *http.Client, base string, o
 	fmt.Fprintf(out, "server batches: %d (mean %.2f, max %d)\n",
 		m.Batches.Count, m.Batches.MeanSize, m.Batches.MaxSize)
 	if r := m.Router; r != nil {
-		fmt.Fprintf(out, "router:         %d shards, %d single-region, %d cross-region (%.1f%%), 2pc prepares %d conflicts %d retries %d aborts %d fallbacks %d\n",
-			r.Shards, r.SingleRegion, r.CrossRegion, r.CrossRegionRate*100,
-			r.Prepares, r.Conflicts, r.Retries, r.Aborts, r.GlobalFallbacks)
+		fmt.Fprintf(out, "router:         %d shards, %d single-region, %d cross-region (%.1f%%), %d cross-region commits\n",
+			r.Shards, r.SingleRegion, r.CrossRegion, r.CrossRegionRate*100, r.Prepares)
 	}
 	if len(m.Tenants) > 0 {
 		fmt.Fprintf(out, "server tenants:\n")

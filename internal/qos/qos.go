@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"time"
 )
@@ -78,7 +79,8 @@ type TenantSpec struct {
 }
 
 // MaxTTL returns the tenant's session-lifetime cap as a duration; 0 means
-// the tenant has no cap of its own.
+// the tenant has no cap of its own. Validate rejects caps a duration cannot
+// hold, so a validated spec never wraps here.
 func (t TenantSpec) MaxTTL() time.Duration {
 	return time.Duration(t.MaxTTLMs) * time.Millisecond
 }
@@ -157,6 +159,9 @@ func (c *Config) Validate() error {
 		}
 		if t.MaxTTLMs < 0 {
 			return fmt.Errorf("qos: tenant %q: negative max ttl %dms", t.ID, t.MaxTTLMs)
+		}
+		if t.MaxTTLMs > math.MaxInt64/int64(time.Millisecond) {
+			return fmt.Errorf("qos: tenant %q: max ttl %dms overflows a duration", t.ID, t.MaxTTLMs)
 		}
 	}
 	if c.GuaranteedShare >= 1 {

@@ -333,6 +333,14 @@ func TestConfigParseAndValidate(t *testing.T) {
 	if gold.MaxTTL() != 30*time.Second {
 		t.Fatalf("gold MaxTTL = %v, want 30s", gold.MaxTTL())
 	}
+	// The largest cap a Duration holds is still a valid config.
+	top, err := Parse([]byte(`{"tenants":[{"id":"a","max_ttl_ms":9223372036854}]}`))
+	if err != nil {
+		t.Fatalf("Parse(largest max_ttl_ms): %v", err)
+	}
+	if got := top.Tenants[0].MaxTTL(); got != 9223372036854*time.Millisecond {
+		t.Fatalf("largest MaxTTL = %v, want %v", got, 9223372036854*time.Millisecond)
+	}
 	if got := len(n.Tenants); got != 2 {
 		t.Fatalf("normalized tenants = %d, want 2 (default not duplicated)", got)
 	}
@@ -358,6 +366,8 @@ func TestConfigParseAndValidate(t *testing.T) {
 		`{"tenants":[{"id":"a","burst":-1}]}`,
 		`{"tenants":[{"id":"a","queue_size":-1}]}`,
 		`{"tenants":[{"id":"a","max_ttl_ms":-5}]}`,
+		`{"tenants":[{"id":"a","max_ttl_ms":9223372036855}]}`,  // wraps to a negative Duration
+		`{"tenants":[{"id":"a","max_ttl_ms":18446744073710}]}`, // wraps to about 0.45 ms
 		`{"tenants":[{"id":"a","typo_field":1}]}`,
 	}
 	for _, doc := range bad {

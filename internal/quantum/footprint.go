@@ -13,7 +13,7 @@ import (
 // per-graph position array gives O(1) membership and lookup, and Reset
 // clears only what the last use touched. One footprint is sized to one
 // graph (NumNodes slots) and is reused across admissions: the cross-region
-// coordinator fills it from a tree, probes it against closure logs, and
+// coordinator fills it from a tree, exports it as sorted load entries, and
 // resets it — zero allocations at steady state, where the map form hashed
 // and allocated per request.
 //
@@ -102,30 +102,6 @@ func (f *Footprint) Get(id graph.NodeID) int {
 		return 0
 	}
 	return f.load[p-1]
-}
-
-// Max returns the largest per-switch demand (0 when empty) — the MaxLoad
-// twin. Demand above 2 at any switch disables the closure-epoch fast path;
-// see MaxLoad.
-func (f *Footprint) Max() int {
-	max := 0
-	for _, n := range f.load {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// Touches reports whether any switch in ids carries load, in O(len(ids))
-// against the sparse index.
-func (f *Footprint) Touches(ids []graph.NodeID) bool {
-	for _, id := range ids {
-		if int(id) < len(f.pos) && id >= 0 && f.pos[id] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Sort orders the dense keys by ascending switch ID and rebuilds the sparse

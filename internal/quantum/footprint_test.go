@@ -26,8 +26,8 @@ func footprintNetwork(tb testing.TB, switches, qubits int) *graph.Graph {
 
 func TestFootprintBasics(t *testing.T) {
 	f := NewFootprint(8)
-	if f.Len() != 0 || f.Max() != 0 {
-		t.Fatalf("fresh footprint not empty: len %d max %d", f.Len(), f.Max())
+	if f.Len() != 0 {
+		t.Fatalf("fresh footprint not empty: len %d", f.Len())
 	}
 	f.Add(3, 2)
 	f.Add(5, 4)
@@ -44,15 +44,6 @@ func TestFootprintBasics(t *testing.T) {
 	if got := f.Len(); got != 2 {
 		t.Errorf("Len = %d, want 2", got)
 	}
-	if got := f.Max(); got != 4 {
-		t.Errorf("Max = %d, want 4", got)
-	}
-	if !f.Touches([]graph.NodeID{1, 5}) {
-		t.Error("Touches missed a loaded switch")
-	}
-	if f.Touches([]graph.NodeID{0, 1, 2}) {
-		t.Error("Touches reported an unloaded switch")
-	}
 	f.Add(5, -4) // accumulate to zero removes
 	if f.Get(5) != 0 || f.Len() != 1 {
 		t.Errorf("Add to zero left Get(5)=%d Len=%d", f.Get(5), f.Len())
@@ -63,7 +54,7 @@ func TestFootprintBasics(t *testing.T) {
 	}
 	f.Add(2, 2)
 	f.Reset()
-	if f.Len() != 0 || f.Get(2) != 0 || f.Touches([]graph.NodeID{2}) {
+	if f.Len() != 0 || f.Get(2) != 0 {
 		t.Error("Reset left residue")
 	}
 }
@@ -106,9 +97,8 @@ func TestFootprintSortAndEntries(t *testing.T) {
 }
 
 // TestFootprintDifferentialVsMap drives a footprint and a map oracle through
-// the same random add/remove/reset sequence and requires identical contents,
-// Max and Touches answers at every step — the flat == map pin for the
-// footprint itself.
+// the same random add/remove/reset sequence and requires identical contents
+// at every step — the flat == map pin for the footprint itself.
 func TestFootprintDifferentialVsMap(t *testing.T) {
 	g := footprintNetwork(t, 30, 8)
 	rng := rand.New(rand.NewSource(20260808))
@@ -135,13 +125,6 @@ func TestFootprintDifferentialVsMap(t *testing.T) {
 				t.Fatalf("step %d: Get(%d) = %d, oracle %d", step, oid, f.Get(oid), q)
 			}
 		}
-		if f.Max() != MaxLoad(oracle) {
-			t.Fatalf("step %d: Max %d, oracle %d", step, f.Max(), MaxLoad(oracle))
-		}
-		probe := []graph.NodeID{id, graph.NodeID(1 + rng.Intn(30))}
-		if f.Touches(probe) != LoadTouches(oracle, probe) {
-			t.Fatalf("step %d: Touches(%v) diverges from LoadTouches", step, probe)
-		}
 	}
 	// Sorted export equals the sorted oracle.
 	f.Sort()
@@ -153,31 +136,6 @@ func TestFootprintDifferentialVsMap(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("entries[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestValidateSliceSinceMatchesValidateSince(t *testing.T) {
-	g := footprintNetwork(t, 12, 4)
-	led := NewLedger(g)
-	rng := rand.New(rand.NewSource(31))
-	f := NewFootprint(g.NumNodes())
-	for round := 0; round < 500; round++ {
-		epoch := led.Epoch()
-		s := 1 + rng.Intn(11)
-		path := []graph.NodeID{0, graph.NodeID(s), graph.NodeID(s + 1), graph.NodeID(13)}
-		reserved := led.Reserve(path) == nil
-		f.Reset()
-		for n := rng.Intn(4) + 1; n > 0; n-- {
-			f.Add(graph.NodeID(1+rng.Intn(12)), 2)
-		}
-		f.Sort()
-		entries := f.AppendEntries(nil)
-		if got, want := led.ValidateSliceSince(epoch, f, entries), led.ValidateSince(epoch, entries); got != want {
-			t.Fatalf("round %d: ValidateSliceSince %v, ValidateSince %v", round, got, want)
-		}
-		if reserved && rng.Intn(2) == 0 {
-			led.Release(path)
 		}
 	}
 }
@@ -216,9 +174,6 @@ func FuzzFootprint(f *testing.F) {
 				t.Fatalf("Get(%d) = %d, oracle %d", id, fp.Get(id), q)
 			}
 		}
-		if fp.Max() != MaxLoad(oracle) {
-			t.Fatalf("Max %d, oracle %d", fp.Max(), MaxLoad(oracle))
-		}
 		fp.Sort()
 		if !sort.SliceIsSorted(fp.Keys(), func(i, j int) bool { return fp.Keys()[i] < fp.Keys()[j] }) {
 			t.Fatal("Sort left keys unsorted")
@@ -234,7 +189,7 @@ func FuzzFootprint(f *testing.F) {
 			t.Fatal("Reset left residue")
 		}
 		for id := graph.NodeID(0); int(id) < n; id++ {
-			if fp.Get(id) != 0 || fp.Touches([]graph.NodeID{id}) {
+			if fp.Get(id) != 0 {
 				t.Fatalf("Reset left node %d dirty", id)
 			}
 		}

@@ -29,22 +29,3 @@ func TestLedgerFits(t *testing.T) {
 		t.Fatal("empty load must always fit")
 	}
 }
-
-func TestLoadTouchesAndMaxLoad(t *testing.T) {
-	load := map[graph.NodeID]int{1: 2, 5: 4}
-	if LoadTouches(load, []graph.NodeID{2, 3}) {
-		t.Fatal("disjoint closure set reported as touching")
-	}
-	if !LoadTouches(load, []graph.NodeID{3, 5}) {
-		t.Fatal("overlapping closure set reported as disjoint")
-	}
-	if LoadTouches(load, nil) {
-		t.Fatal("empty closure set touches")
-	}
-	if got := MaxLoad(load); got != 4 {
-		t.Fatalf("MaxLoad = %d, want 4", got)
-	}
-	if got := MaxLoad(nil); got != 0 {
-		t.Fatalf("MaxLoad(nil) = %d, want 0", got)
-	}
-}

@@ -25,8 +25,7 @@ func (t Tree) QubitLoad() map[graph.NodeID]int {
 
 // Fits reports whether the ledger can absorb the given per-switch qubit
 // load right now (load is Tree.QubitLoad's shape: switch → qubits
-// demanded). It is the map-form reference the flat paths are tested
-// against.
+// demanded).
 func (l *Ledger) Fits(load map[graph.NodeID]int) bool {
 	for id, need := range load {
 		l.check(id)
@@ -35,21 +34,6 @@ func (l *Ledger) Fits(load map[graph.NodeID]int) bool {
 		}
 	}
 	return true
-}
-
-// LoadTouches reports whether any switch in ids carries load — the
-// conflict pre-filter between a candidate tree's footprint and the
-// switches ClosedSince reports closed after the tree's base epoch. No
-// touch (with an unbroken epoch and per-switch demand ≤ 2) proves every
-// switch the tree needs still has the 2 free qubits a channel charges,
-// without reading the budgets.
-func LoadTouches(load map[graph.NodeID]int, ids []graph.NodeID) bool {
-	for _, id := range ids {
-		if load[id] > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // SortedLoad flattens a Tree.QubitLoad map into entries sorted by ascending
@@ -75,18 +59,4 @@ func (f *Footprint) ToMap() map[graph.NodeID]int {
 		load[id] = f.load[i]
 	}
 	return load
-}
-
-// MaxLoad returns the largest per-switch demand in a load map (0 when
-// empty). Demand above 2 at any switch means the epoch pre-filter alone
-// cannot prove capacity — concurrent commits may have drained a still-open
-// switch below the demand — and the caller must fall back to Fits.
-func MaxLoad(load map[graph.NodeID]int) int {
-	max := 0
-	for _, n := range load {
-		if n > max {
-			max = n
-		}
-	}
-	return max
 }

@@ -1,7 +1,6 @@
 package quantum
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/muerp/quantumnet/internal/graph"
@@ -10,8 +9,8 @@ import (
 // This file holds the shard-side reservation primitives used by the sharded
 // admission plane (internal/service). A cross-region entanglement tree is
 // split by switch ownership into per-region load slices; each region's shard
-// then reserves its slice on its own ledger under a two-phase
-// prepare/commit protocol. The primitives mirror Reserve/Release exactly —
+// then reserves its slice on its own ledger, with every involved shard
+// locked at once. The primitives mirror Reserve/Release exactly —
 // same closure-log and generation semantics — so a shard ledger driven by a
 // mix of tree reservations (local sessions) and load reservations (slices
 // of cross-region sessions) replays byte-identically from its WAL stream.
@@ -21,50 +20,6 @@ import (
 type LoadEntry struct {
 	ID     graph.NodeID `json:"id"`
 	Qubits int          `json:"qubits"`
-}
-
-// ErrTxnConflict reports a failed prepare: the shard's closure history moved
-// past the epoch the transaction was planned under and the plan no longer
-// provably fits. The coordinator retries against a fresh view or falls back
-// to its global serial path.
-var ErrTxnConflict = errors.New("quantum: reservation conflicts with shard ledger")
-
-// FitsLoad reports whether every entry's switch has at least its demanded
-// qubits free right now.
-func (l *Ledger) FitsLoad(entries []LoadEntry) bool {
-	for _, e := range entries {
-		l.check(e.ID)
-		if l.free[e.ID] < e.Qubits {
-			return false
-		}
-	}
-	return true
-}
-
-// LoadEntriesTouch reports whether any switch in ids appears in entries.
-// The cross-region commit uses it to pre-filter a prepared slice against
-// the closures since its base epoch.
-func LoadEntriesTouch(entries []LoadEntry, ids []graph.NodeID) bool {
-	for _, id := range ids {
-		for _, e := range entries {
-			if e.ID == id && e.Qubits > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// MaxLoadEntries returns the largest per-switch demand in entries (0 when
-// empty); see MaxLoad for why demand above 2 disables the epoch fast path.
-func MaxLoadEntries(entries []LoadEntry) int {
-	max := 0
-	for _, e := range entries {
-		if e.Qubits > max {
-			max = e.Qubits
-		}
-	}
-	return max
 }
 
 // ReserveLoad charges every entry's qubits at its switch, all or nothing:
@@ -115,33 +70,4 @@ func (l *Ledger) ReleaseLoad(entries []LoadEntry) {
 			l.closed = l.closed[:0]
 		}
 	}
-}
-
-// ValidateSince is the prepare step of the cross-region protocol: it reports
-// whether a load slice planned under epoch e still provably fits the ledger.
-// The fast path is the closure-epoch argument — an unbroken generation
-// whose new closures miss the slice, with per-switch demand ≤ 2, proves
-// capacity without reading budgets — and
-// anything else falls back to the authoritative FitsLoad. It reads only;
-// commit is ReserveLoad, abort is a no-op.
-func (l *Ledger) ValidateSince(e Epoch, entries []LoadEntry) bool {
-	if closed, ok := l.ClosedSince(e); ok &&
-		!LoadEntriesTouch(entries, closed) && MaxLoadEntries(entries) <= 2 {
-		return true
-	}
-	return l.FitsLoad(entries)
-}
-
-// ValidateSliceSince is ValidateSince with the touch test served by a
-// footprint instead of the O(closures × entries) slice scan. The footprint
-// may cover the whole tree while entries is one shard's slice: closures are
-// region-local, so a footprint hit within this ledger's closures implies a
-// hit in this shard's slice. The footprint's global Max is a conservative
-// stand-in for the slice's (it can only send more cases to the authoritative
-// FitsLoad fallback, never fewer), so the decision matches ValidateSince.
-func (l *Ledger) ValidateSliceSince(e Epoch, f *Footprint, entries []LoadEntry) bool {
-	if closed, ok := l.ClosedSince(e); ok && !f.Touches(closed) && f.Max() <= 2 {
-		return true
-	}
-	return l.FitsLoad(entries)
 }

@@ -1,7 +1,6 @@
 package quantum
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -121,67 +120,4 @@ func TestReleaseLoadReopensGeneration(t *testing.T) {
 		}
 	}()
 	l.ReleaseLoad(entries)
-}
-
-// ValidateSince: fresh epoch with untouched footprint passes on the fast
-// path; a stale generation or touched footprint falls back to FitsLoad.
-func TestValidateSince(t *testing.T) {
-	g := shardGraph(t, 4)
-	l := NewLedger(g)
-	plan := []LoadEntry{{ID: 4, Qubits: 2}}
-
-	e := l.Epoch()
-	if !l.ValidateSince(e, plan) {
-		t.Fatal("fresh plan rejected")
-	}
-
-	// A concurrent commit closes switch 3 (not in the plan): fast path holds.
-	if err := l.ReserveLoad([]LoadEntry{{ID: 3, Qubits: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if !l.ValidateSince(e, plan) {
-		t.Fatal("plan rejected though closures miss its footprint")
-	}
-
-	// Drain switch 4: the closure touches the plan, and FitsLoad must
-	// reject a demand the budget no longer covers.
-	if err := l.ReserveLoad([]LoadEntry{{ID: 4, Qubits: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if l.ValidateSince(e, plan) {
-		t.Fatal("plan accepted though switch 4 is drained")
-	}
-
-	// Stale generation (release reopens): validation must consult FitsLoad,
-	// which now passes again.
-	l.ReleaseLoad([]LoadEntry{{ID: 4, Qubits: 4}})
-	if _, ok := l.ClosedSince(e); ok {
-		t.Fatal("generation should have moved")
-	}
-	if !l.ValidateSince(e, plan) {
-		t.Fatal("plan rejected though capacity is back")
-	}
-
-	// Demand above 2 disables the fast path but still validates via budgets.
-	big := []LoadEntry{{ID: 5, Qubits: 4}}
-	if !l.ValidateSince(l.Epoch(), big) {
-		t.Fatal("wide demand rejected though it fits")
-	}
-
-	if !errors.Is(ErrTxnConflict, ErrTxnConflict) {
-		t.Fatal("sanity")
-	}
-}
-
-func TestLoadEntriesTouch(t *testing.T) {
-	entries := []LoadEntry{{ID: 2, Qubits: 2}, {ID: 4, Qubits: 2}}
-	if LoadEntriesTouch(entries, []graph.NodeID{3, 5}) {
-		t.Error("false touch")
-	}
-	if !LoadEntriesTouch(entries, []graph.NodeID{5, 4}) {
-		t.Error("missed touch")
-	}
-	if MaxLoadEntries(entries) != 2 || MaxLoadEntries(nil) != 0 {
-		t.Error("MaxLoadEntries wrong")
-	}
 }

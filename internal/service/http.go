@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -83,7 +84,13 @@ func newMux(p plane) *http.ServeMux {
 			writeError(w, http.StatusBadRequest, "bad_request", "ttl_ms must be >= 0")
 			return
 		}
-		info, err := p.SubmitTenant(r.Context(), req.Tenant, req.Users, time.Duration(req.TTLMs)*time.Millisecond)
+		// A ttl_ms beyond what a Duration holds saturates rather than wraps,
+		// so the server's TTL cap applies to it like to any long request.
+		ttl := time.Duration(math.MaxInt64)
+		if req.TTLMs <= math.MaxInt64/int64(time.Millisecond) {
+			ttl = time.Duration(req.TTLMs) * time.Millisecond
+		}
+		info, err := p.SubmitTenant(r.Context(), req.Tenant, req.Users, ttl)
 		if err != nil {
 			writeSubmitError(w, p.retryAfter(), err)
 			return

@@ -228,6 +228,66 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPTTLSaturates posts ttl_ms values at and past the largest
+// millisecond count a time.Duration holds. Each must be admitted with the
+// server's MaxTTL: a wrapped conversion would instead hand out the default
+// TTL (negative wrap) or a sub-millisecond lifetime. The sharded plane
+// clamps the same way on both its single-region and cross-region paths.
+func TestHTTPTTLSaturates(t *testing.T) {
+	const maxTTL = time.Minute
+	g := bridgedClusters(t, 2, 4, 4, 8)
+	cfg := Config{Graph: g, DefaultTTL: time.Second, MaxTTL: maxTTL}
+	single, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = single.Close() }()
+	sharded, err := NewSharded(ShardedConfig{Config: cfg, Shards: 2, PartitionSeed: 3})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	defer func() { _ = sharded.Close() }()
+	byRegion := regionUsers(t, g, sharded.Partition())
+	local := []int{int(byRegion[0][0]), int(byRegion[0][1])}
+	cross := []int{int(byRegion[0][0]), int(byRegion[1][0])}
+
+	planes := []struct {
+		name    string
+		handler http.Handler
+		users   []int
+	}{
+		{"server", single.Handler(), local},
+		{"sharded-single-region", sharded.Handler(), local},
+		{"sharded-cross-region", sharded.Handler(), cross},
+	}
+	for _, p := range planes {
+		ts := httptest.NewServer(p.handler)
+		for _, ttlMs := range []int64{
+			9223372036854,       // the largest ttl_ms a Duration holds
+			9223372036855,       // wrapped to a negative Duration before saturation
+			18446744073710,      // wrapped to about 0.45 ms
+			9223372036854775807, // math.MaxInt64
+		} {
+			resp := postSession(t, ts.Client(), ts.URL, p.users, ttlMs)
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("%s ttl_ms=%d: status %d, want 201", p.name, ttlMs, resp.StatusCode)
+			}
+			var info SessionInfo
+			decodeInto(t, resp, &info)
+			if got := info.ExpiresAt.Sub(info.AdmittedAt); got != maxTTL {
+				t.Errorf("%s ttl_ms=%d: lifetime %v, want the MaxTTL cap %v", p.name, ttlMs, got, maxTTL)
+			}
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+info.ID, nil)
+			dresp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatalf("%s: DELETE %s: %v", p.name, info.ID, err)
+			}
+			_ = dresp.Body.Close()
+		}
+		ts.Close()
+	}
+}
+
 // TestHTTPQueueFullBackpressure stalls the serve loop by holding the
 // server mutex, fills the one-slot queue, and checks the next request gets
 // an immediate 429 with a Retry-After hint.

@@ -32,25 +32,16 @@ import (
 //
 //   - single-region sessions go straight to that shard's queue. No
 //     router lock, no coordination — shards admit in parallel.
-//   - cross-region sessions are solved by the router against a stitched
-//     full-topology view of every shard's budgets and committed under a
-//     two-phase reserve/commit: each involved shard validates this shard's
-//     slice of the tree's per-switch demand against the epoch the view was
-//     taken at (quantum.ValidateSince) and reserves it, all under the
-//     involved shards' locks, taken in ascending order. A validation
-//     conflict aborts the attempt and re-solves against a fresh view;
-//     after CrossRetries conflicts the request is decided authoritatively
-//     under every shard's lock (the global-lock serial fallback).
+//   - cross-region sessions are decided by the router under every shard's
+//     lock, taken in ascending order (decideCross): it expires due sessions
+//     on every shard, stitches the live budgets into a full-topology view,
+//     solves on it, and reserves each involved shard's slice of the tree's
+//     per-switch demand. The view is an atomic cut of the shards' books, so
+//     a tree that fits it fits them, and a rejection is final.
 //
 // Deadlock freedom: only the cross-region coordinator ever holds more than
 // one shard lock, it is itself serialized by crossMu, and it always locks
 // shards in ascending index order.
-//
-// Rejections are only final when no shard's ledger generation moved since
-// the view was taken: budgets can then only have shrunk (reservations are
-// monotone within a generation), so a tree that did not fit the view cannot
-// fit the live ledgers either. A generation bump means a release reopened
-// capacity somewhere and the request deserves a fresh view.
 
 // ShardedConfig parameterizes a ShardedServer. The embedded Config is the
 // template every shard Server is built from (Graph must be the full
@@ -62,9 +53,8 @@ type ShardedConfig struct {
 	Shards int
 	// PartitionSeed seeds the deterministic region partitioner.
 	PartitionSeed int64
-	// CrossRetries bounds how many fresh-view re-solves a cross-region
-	// request gets after validation conflicts before it is decided under
-	// the global lock. Default 3.
+	// Deprecated: CrossRetries is ignored. Every cross-region request is
+	// decided once, under every shard's lock.
 	CrossRetries int
 }
 
@@ -75,7 +65,6 @@ type ShardedServer struct {
 	g       *graph.Graph
 	tmpl    *core.Problem // all-users Problem on g, cross-region requests' template
 	base    Config        // defaults applied; template the shards were built from
-	retries int
 	part    *topology.Partition
 	clock   Clock
 	start   time.Time
@@ -87,16 +76,17 @@ type ShardedServer struct {
 	closeErr  error
 
 	// crossMu serializes the cross-region coordinator; view, viewFree,
-	// epochs, crossWork and the splitLoad scratch below are its state.
+	// crossWork and the splitLoad scratch below are its state. The shard
+	// locks alone would serialize decisions too, but Close also takes
+	// crossMu to wait out an in-flight cross-region decision.
 	crossMu   sync.Mutex
 	view      *quantum.Ledger
 	viewFree  []int
-	epochs    []quantum.Epoch
 	crossWork core.SolveStats
 
-	// splitLoad scratch: the flat footprint holding the last split tree's
-	// demand (also consulted by tryCommit's validation), the sorted-entry
-	// export buffer, and reusable per-region headers. All crossMu-guarded.
+	// splitLoad scratch: the flat footprint the split tree's demand
+	// accumulates in, the sorted-entry export buffer, and reusable
+	// per-region headers. All crossMu-guarded.
 	crossFP      *quantum.Footprint
 	crossEntries []quantum.LoadEntry
 	crossCounts  []int
@@ -107,10 +97,6 @@ type ShardedServer struct {
 	singleRegion atomic.Int64
 	crossRegion  atomic.Int64
 	prepares     atomic.Int64
-	conflicts    atomic.Int64
-	retried      atomic.Int64
-	aborts       atomic.Int64
-	fallbacks    atomic.Int64
 }
 
 // RegionGraph clones g and strips every switch outside partition region r of
@@ -173,9 +159,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.CrossRetries <= 0 {
-		cfg.CrossRetries = 3
-	}
 	base := cfg.Config.withDefaults()
 	if err := base.Params.Validate(); err != nil {
 		return nil, err
@@ -209,13 +192,11 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 		g:        cfg.Graph,
 		tmpl:     tmpl,
 		base:     base,
-		retries:  cfg.CrossRetries,
 		part:     part,
 		clock:    base.Clock,
 		start:    base.Clock.Now(),
 		view:     quantum.NewLedger(cfg.Graph),
 		viewFree: make([]int, cfg.Graph.NumNodes()),
-		epochs:   make([]quantum.Epoch, cfg.Shards),
 		lat:      newHistogram(),
 
 		crossFP:     quantum.NewFootprint(cfg.Graph.NumNodes()),
@@ -253,7 +234,7 @@ func (s *ShardedServer) Shards() int { return len(s.shards) }
 func (s *ShardedServer) RegionGraphOf(r int) *graph.Graph { return s.regions[r] }
 
 // Submit routes one session request: single-region user sets go straight to
-// their shard's queue, cross-region sets through the two-phase
+// their shard's queue, cross-region sets through the cross-region
 // coordinator. Outcomes match Server.Submit.
 func (s *ShardedServer) Submit(ctx context.Context, users []graph.NodeID, ttl time.Duration) (SessionInfo, error) {
 	return s.SubmitTenant(ctx, "", users, ttl)
@@ -261,7 +242,7 @@ func (s *ShardedServer) Submit(ctx context.Context, users []graph.NodeID, ttl ti
 
 // SubmitTenant is Submit with an explicit tenant name: single-region
 // requests join their shard's QoS queues, cross-region requests pass the
-// shared quota limiter before the two-phase coordinator.
+// shared quota limiter before the cross-region coordinator.
 func (s *ShardedServer) SubmitTenant(ctx context.Context, tenant string, users []graph.NodeID, ttl time.Duration) (SessionInfo, error) {
 	if s.closing.Load() {
 		return SessionInfo{}, ErrClosed
@@ -295,9 +276,9 @@ func (s *ShardedServer) SubmitTenant(ctx context.Context, tenant string, users [
 	return s.submitCross(ctx, tenant, users, ttl, primary)
 }
 
-// submitCross decides a cross-region request under the two-phase protocol.
-// The session is homed on the primary shard (the lowest involved region),
-// whose counters own the request's outcome.
+// submitCross decides a cross-region request on the locked path
+// (decideCross). The session is homed on the primary shard (the lowest
+// involved region), whose counters own the request's outcome.
 func (s *ShardedServer) submitCross(ctx context.Context, tenant string, users []graph.NodeID, ttl time.Duration, primary int) (info SessionInfo, err error) {
 	s.crossRegion.Add(1)
 	pr := s.shards[primary]
@@ -333,110 +314,21 @@ func (s *ShardedServer) submitCross(ctx context.Context, tenant string, users []
 	if s.closing.Load() {
 		return SessionInfo{}, ErrClosed
 	}
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			pr.ctrs.canceled.Add(1)
-			return SessionInfo{}, err
-		}
-		s.refreshView()
-		tree, err := s.solveView(ctx, prob)
-		if err != nil {
-			switch sched.Classify(ctx.Err(), err) {
-			case sched.VerdictAborted:
-				if ctx.Err() != nil {
-					pr.ctrs.canceled.Add(1)
-				} else {
-					pr.ctrs.failed.Add(1)
-				}
-				return SessionInfo{}, err
-			case sched.VerdictRejected:
-				// Final only if no shard reopened capacity since the view:
-				// within a generation budgets are monotone non-increasing,
-				// so an infeasible view stays infeasible on the live books.
-				if s.rejectionStands() {
-					pr.ctrs.rejected.Add(1)
-					return SessionInfo{}, err
-				}
-				s.conflicts.Add(1)
-			}
-		} else {
-			if info, ok := s.tryCommit(primary, wire, prob.Users, ttl, tree); ok {
-				return info, nil
-			}
-			s.conflicts.Add(1)
-		}
-		if attempt >= s.retries {
-			return s.decideGlobal(ctx, wire, prob, ttl, primary)
-		}
-		s.retried.Add(1)
+	if err := ctx.Err(); err != nil {
+		pr.ctrs.canceled.Add(1)
+		return SessionInfo{}, err
 	}
-}
-
-// refreshView stitches every shard's live budgets into the coordinator's
-// full-topology view ledger, recording each shard's closure epoch. Shards
-// are visited (and locked) one at a time, so the view is not one global
-// atomic cut — commit-time validation under the involved shards' locks is
-// what makes decisions safe, and the per-generation monotonicity argument
-// is what makes rejections safe.
-func (s *ShardedServer) refreshView() {
-	now := s.clock.Now()
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		// Expire due sessions first, exactly as the shard's serve loop
-		// would at this instant — the view must not count capacity whose
-		// expiry the shard has not yet applied.
-		sh.expireLocked(now)
-		_ = sh.enqueueRecordsLocked()
-		for _, sw := range s.part.Switches(i) {
-			s.viewFree[sw] = sh.led.Free(sw)
-		}
-		s.epochs[i] = sh.led.Epoch()
-		sh.mu.Unlock()
-	}
-	s.importView()
-}
-
-func (s *ShardedServer) importView() {
-	if err := s.view.ImportState(quantum.LedgerState{Free: s.viewFree}); err != nil {
-		// The budgets came straight from live ledgers over the same node IDs.
-		panic(fmt.Sprintf("service: cross-region view import: %v", err))
-	}
-}
-
-// solveView routes prob on the stitched view, charging the router's latency
-// histogram and work counters.
-func (s *ShardedServer) solveView(ctx context.Context, prob *core.Problem) (quantum.Tree, error) {
-	var st core.SolveStats
-	t0 := time.Now()
-	tree, err := core.BuildGreedyTree(ctx, prob, s.view, &core.SolveOptions{Stats: &st})
-	s.lat.observe(time.Since(t0))
-	s.crossWork.Merge(&st)
-	return tree, err
-}
-
-// rejectionStands reports whether every shard's closure generation is
-// unchanged since the current view was taken.
-func (s *ShardedServer) rejectionStands() bool {
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		_, ok := sh.led.ClosedSince(s.epochs[i])
-		sh.mu.Unlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return s.decideCross(ctx, wire, prob, ttl, primary)
 }
 
 // splitLoad slices a tree's per-switch demand by owning region. The demand
 // accumulates in the coordinator's flat footprint (crossMu-serialized
 // scratch) instead of per-region maps, and the per-region plans are windows
 // of one freshly allocated backing slice, each ascending by switch ID. The
-// backing must be fresh per call — installed plans outlive the attempt
+// backing must be fresh per call — installed plans outlive the decision
 // (sessions keep them for release, WAL records serialize them off-thread) —
-// but that one allocation replaces the old path's K maps + K sorted slices
-// + a per-tree load map. On return crossFP still holds the whole tree's
-// demand; tryCommit's validation reads it.
+// but that one allocation replaces K maps + K sorted slices + a per-tree
+// load map.
 func (s *ShardedServer) splitLoad(tree quantum.Tree) [][]quantum.LoadEntry {
 	fp := s.crossFP
 	fp.Reset()
@@ -485,43 +377,6 @@ func (s *ShardedServer) involvedShards(plans [][]quantum.LoadEntry, primary int)
 type shardTicket struct {
 	sh *Server
 	t  *wal.Ticket
-}
-
-// tryCommit is one two-phase attempt: lock the involved shards in ascending
-// order, validate every slice against the epoch its view was taken at,
-// reserve and install. A validation failure aborts with no side effects.
-func (s *ShardedServer) tryCommit(primary int, tenant string, users []graph.NodeID, ttl time.Duration, tree quantum.Tree) (SessionInfo, bool) {
-	plans := s.splitLoad(tree)
-	involved := s.involvedShards(plans, primary)
-	for _, r := range involved {
-		s.shards[r].mu.Lock()
-	}
-	s.prepares.Add(1)
-	ok := true
-	for _, r := range involved {
-		// crossFP still holds the whole tree's demand from splitLoad; the
-		// closure-epoch touch test probes its sparse index instead of
-		// rebuilding a per-slice map (ValidateSliceSince is decision-equal to
-		// ValidateSince — a shard's closures only ever name its own switches).
-		if !s.shards[r].led.ValidateSliceSince(s.epochs[r], s.crossFP, plans[r]) {
-			ok = false
-			break
-		}
-	}
-	var info SessionInfo
-	var tickets []shardTicket
-	if ok {
-		info, tickets, ok = s.installCrossLocked(primary, tenant, users, ttl, tree, plans, involved)
-	}
-	for i := len(involved) - 1; i >= 0; i-- {
-		s.shards[involved[i]].mu.Unlock()
-	}
-	if !ok {
-		s.aborts.Add(1)
-		return SessionInfo{}, false
-	}
-	s.finishCross(involved, tickets)
-	return info, true
 }
 
 // installCrossLocked reserves every shard's slice and installs the session
@@ -597,12 +452,12 @@ func (s *ShardedServer) finishCross(involved []int, tickets []shardTicket) {
 	}
 }
 
-// decideGlobal is the serial fallback after the retry budget: every shard
-// lock is taken (ascending), the view rebuilt under them — now a true
-// atomic cut — and the request decided authoritatively, so neither a
-// conflict nor an unsound rejection is possible.
-func (s *ShardedServer) decideGlobal(ctx context.Context, tenant string, prob *core.Problem, ttl time.Duration, primary int) (SessionInfo, error) {
-	s.fallbacks.Add(1)
+// decideCross decides one cross-region request authoritatively: every shard
+// lock is taken (ascending), due sessions are expired on every shard, and
+// the full-topology view is rebuilt from the live budgets — an atomic cut —
+// before the solve. The tree is then split by region and installed under
+// the same locks, so the reservation cannot fail and a rejection is final.
+func (s *ShardedServer) decideCross(ctx context.Context, tenant string, prob *core.Problem, ttl time.Duration, primary int) (SessionInfo, error) {
 	pr := s.shards[primary]
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -615,8 +470,15 @@ func (s *ShardedServer) decideGlobal(ctx context.Context, tenant string, prob *c
 			s.viewFree[sw] = sh.led.Free(sw)
 		}
 	}
-	s.importView()
-	tree, err := s.solveView(ctx, prob)
+	if err := s.view.ImportState(quantum.LedgerState{Free: s.viewFree}); err != nil {
+		// The budgets came straight from live ledgers over the same node IDs.
+		panic(fmt.Sprintf("service: cross-region view import: %v", err))
+	}
+	var st core.SolveStats
+	t0 := time.Now()
+	tree, err := core.BuildGreedyTree(ctx, prob, s.view, &core.SolveOptions{Stats: &st})
+	s.lat.observe(time.Since(t0))
+	s.crossWork.Merge(&st)
 	var info SessionInfo
 	var tickets []shardTicket
 	var involved []int
@@ -624,7 +486,6 @@ func (s *ShardedServer) decideGlobal(ctx context.Context, tenant string, prob *c
 	if err == nil {
 		plans := s.splitLoad(tree)
 		involved = s.involvedShards(plans, primary)
-		s.prepares.Add(1)
 		info, tickets, ok = s.installCrossLocked(primary, tenant, prob.Users, ttl, tree, plans, involved)
 	}
 	for i := len(s.shards) - 1; i >= 0; i-- {
@@ -645,10 +506,10 @@ func (s *ShardedServer) decideGlobal(ctx context.Context, tenant string, prob *c
 	}
 	if !ok {
 		// Unreachable: the view was an atomic cut under every shard lock.
-		s.aborts.Add(1)
 		pr.ctrs.failed.Add(1)
-		return SessionInfo{}, errors.New("service: cross-region commit failed under the global lock")
+		return SessionInfo{}, errors.New("service: cross-region commit failed under the shard locks")
 	}
+	s.prepares.Add(1)
 	s.finishCross(involved, tickets)
 	return info, nil
 }
@@ -762,15 +623,13 @@ type RouterMetrics struct {
 	SingleRegion    int64   `json:"single_region"`
 	CrossRegion     int64   `json:"cross_region"`
 	CrossRegionRate float64 `json:"cross_region_rate"`
-	// Prepares counts two-phase commit attempts, Conflicts the attempts or
-	// view rejections invalidated by concurrent shard traffic, Retries the
-	// fresh-view re-solves, Aborts the prepared attempts rolled back, and
-	// GlobalFallbacks the requests decided under every shard's lock.
-	Prepares        int64 `json:"prepares"`
-	Conflicts       int64 `json:"conflicts"`
-	Retries         int64 `json:"retries"`
-	Aborts          int64 `json:"aborts"`
-	GlobalFallbacks int64 `json:"global_fallbacks"`
+	// Prepares counts cross-region commits.
+	Prepares int64 `json:"prepares"`
+	// Deprecated: Conflicts and GlobalFallbacks are always 0 and absent
+	// from the JSON document. Every cross-region request is decided once,
+	// under every shard's lock, so none conflicts or falls back.
+	Conflicts       int64 `json:"-"`
+	GlobalFallbacks int64 `json:"-"`
 }
 
 // ShardedMetrics is the sharded daemon's GET /metrics document: the
@@ -944,10 +803,6 @@ func (s *ShardedServer) Metrics() ShardedMetrics {
 		SingleRegion:     single,
 		CrossRegion:      cross,
 		Prepares:         s.prepares.Load(),
-		Conflicts:        s.conflicts.Load(),
-		Retries:          s.retried.Load(),
-		Aborts:           s.aborts.Load(),
-		GlobalFallbacks:  s.fallbacks.Load(),
 	}
 	if single+cross > 0 {
 		rm.CrossRegionRate = float64(cross) / float64(single+cross)

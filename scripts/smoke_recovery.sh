@@ -8,7 +8,7 @@
 # Environment knobs:
 #   TARGET    sessions to admit before the crash (default 20)
 #   SHARDS    admission shards (default 1; >1 exercises per-shard WAL
-#             streams and cross-region two-phase commits across the crash)
+#             streams and cross-region commits across the crash)
 #   GO        go binary                          (default go)
 set -euo pipefail
 

@@ -61,7 +61,7 @@ qload_out="$workdir/qload.out"
 "$workdir/qload" -addr "$addr" -sessions "$SESSIONS" -unit "$UNIT" -min-accepted 1 \
   | tee "$qload_out"
 # Against a sharded daemon, qload must detect the partition and print both
-# the per-shard breakdown and the router's two-phase-commit counters.
+# the per-shard breakdown and the router's counters.
 if [[ "$SHARDS" -gt 1 ]]; then
   grep -q "^shard breakdown " "$qload_out" || {
     echo "smoke: shards=$SHARDS but no per-shard breakdown in qload output" >&2
