@@ -11,7 +11,7 @@ BENCH_LABEL ?= kernel-2cpu
 BENCH_SERVICE_LABEL ?= service-2cpu
 BENCH_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp/quantumnet-bench)
 
-.PHONY: build test vet race perfbench-build tier1 bench bench-service bench-check list-solvers serve loadtest smoke-service smoke-service-sharded smoke-recovery smoke-recovery-sharded smoke-qos smoke-timesim smoke-examples clean
+.PHONY: build test vet race perfbench-build tier1 bench bench-service bench-check list-solvers serve loadtest smoke-service smoke-recovery smoke-qos smoke-timesim smoke-examples clean
 
 build:
 	$(GO) build ./...
@@ -26,10 +26,10 @@ vet:
 # concurrency: core's parallel all-pairs fan-out, sim's batch pool,
 # quantum's shared ledger (the mutex-serialized mutation contract and
 # lock-free read-only use), service's serve loop (admission + expiry wheel)
-# beside HTTP handlers, durability wiring and the sharded cross-region router,
-# qos's tenant scheduler and token buckets (hit from every submitting
-# goroutine), the WAL's group-commit loop and snapshotter, topology's
-# partitioner (read concurrently by shards), timesim's look-ahead seeder
+# beside HTTP handlers and durability wiring, qos's tenant scheduler and
+# token buckets (hit from every submitting goroutine), the WAL's
+# group-commit loop and snapshotter, topology's generators, timesim's
+# look-ahead seeder
 # (one goroutine seeding session RNG streams beside the slot loop; workload
 # rides along as its request source), and muerpd's daemon tests (which read
 # the daemon's output while it runs).
@@ -70,42 +70,37 @@ bench:
 		$(BENCH_TMP)/timesim.txt
 
 # bench-service refreshes the "$(BENCH_SERVICE_LABEL)" run: the end-to-end
-# admission loop across batch sizes and durability, the solve-bound
-# big-workers1 variant, and the sharded admission plane (shards{1,2,4}). The
-# shardsN/shards1 ratio is the sharding speedup; it needs GOMAXPROCS >= N
-# to show — on fewer cores the sweep records coordination overhead instead
-# (see EXPERIMENTS.md). Recorded with -benchmem so the alloc regression
+# admission loop across batch sizes and durability, and the solve-bound
+# big-workers1 variant. Recorded with -benchmem so the alloc regression
 # gate arms against this run.
 bench-service:
 	mkdir -p $(BENCH_TMP)
-	$(GO) test -run '^$$' -bench 'BenchmarkAdmissionLoop|BenchmarkShardedAdmission' \
+	$(GO) test -run '^$$' -bench 'BenchmarkAdmissionLoop' \
 		-benchmem -benchtime 1s ./internal/service | tee $(BENCH_TMP)/service.txt
 	$(GO) run ./cmd/benchreport -label $(BENCH_SERVICE_LABEL) -o $(BENCH_OUT) \
 		$(BENCH_TMP)/service.txt
 
 # bench-check is the CI perf smoke: quick (short-benchtime) passes over the
 # solver/engine benches, one qsim-flash slot-engine job and the admission
-# loop, each diffed against the committed baseline run that covers the same
-# suite (kernel and slot-engine benches against "$(BENCH_LABEL)", admission
+# loop, each repeated -count 3 times and diffed by its median against the
+# committed baseline run that covers the same suite (kernel and slot-engine benches against "$(BENCH_LABEL)", admission
 # benches against "$(BENCH_SERVICE_LABEL)"). Exits non-zero when any shared
-# benchmark is >15% worse in ns/op, B/op or allocs/op (the alloc gates arm
-# only where both sides carry -benchmem columns); names are paired ignoring
-# the -N procs suffix. See `benchreport -check`. BenchmarkShardedAdmission
-# is recorded by bench-service but not checked: its short runs spread by up
-# to ~50% on 2 vCPU, more than the threshold.
+# benchmark's median is >15% worse in ns/op, B/op or allocs/op (the alloc
+# gates arm only where both sides carry -benchmem columns); names are
+# paired ignoring the -N procs suffix. See `benchreport -check`.
 bench-check:
 	mkdir -p $(BENCH_TMP)
 	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1ChannelSearch|BenchmarkSolvers' \
-		-benchmem -benchtime 0.5s . | tee $(BENCH_TMP)/smoke-kernel.txt
+		-benchmem -benchtime 0.5s -count 3 . | tee $(BENCH_TMP)/smoke-kernel.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelSearch|BenchmarkConnectUnions' \
-		-benchmem -benchtime 0.5s ./internal/core | tee $(BENCH_TMP)/smoke-engine.txt
+		-benchmem -benchtime 0.5s -count 3 ./internal/core | tee $(BENCH_TMP)/smoke-engine.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRunFlash' \
-		-benchmem -benchtime 10x ./internal/timesim | tee $(BENCH_TMP)/smoke-timesim.txt
+		-benchmem -benchtime 10x -count 3 ./internal/timesim | tee $(BENCH_TMP)/smoke-timesim.txt
 	$(GO) run ./cmd/benchreport -label smoke -o $(BENCH_TMP)/smoke.json \
 		$(BENCH_TMP)/smoke-kernel.txt $(BENCH_TMP)/smoke-engine.txt $(BENCH_TMP)/smoke-timesim.txt
 	$(GO) run ./cmd/benchreport -check -against $(BENCH_LABEL) $(BENCH_OUT) $(BENCH_TMP)/smoke.json
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmissionLoop' \
-		-benchmem -benchtime 0.3s ./internal/service | tee $(BENCH_TMP)/smoke-service.txt
+		-benchmem -benchtime 0.3s -count 3 ./internal/service | tee $(BENCH_TMP)/smoke-service.txt
 	$(GO) run ./cmd/benchreport -label smoke-service -o $(BENCH_TMP)/smoke-service.json \
 		$(BENCH_TMP)/smoke-service.txt
 	$(GO) run ./cmd/benchreport -check -against $(BENCH_SERVICE_LABEL) \
@@ -132,12 +127,6 @@ loadtest:
 smoke-service:
 	bash scripts/smoke_service.sh
 
-# smoke-service-sharded reruns the serving smoke against a 4-shard daemon:
-# qload must detect the partition, print the per-shard breakdown, and the
-# router counters must surface through /metrics.
-smoke-service-sharded:
-	SHARDS=4 bash scripts/smoke_service.sh
-
 # smoke-qos is the CI multi-tenant check: boot muerpd with a two-tenant
 # policy (one tenant on a tight quota), replay a weighted mix through qload
 # with a retry budget, and require the quota to throttle only that tenant
@@ -158,12 +147,6 @@ smoke-timesim:
 # with an offline qrecover pass over the directory. See DESIGN.md §7.
 smoke-recovery:
 	bash scripts/smoke_recovery.sh
-
-# smoke-recovery-sharded reruns the crash-durability smoke against a
-# two-shard daemon: per-shard WAL streams replay independently and qrecover
-# must verify and compose both shards offline.
-smoke-recovery-sharded:
-	SHARDS=2 bash scripts/smoke_recovery.sh
 
 # smoke-examples runs every program under examples/ end to end; `make build`
 # only compiles them. Each must exit 0 within 120s (distributed-computing,

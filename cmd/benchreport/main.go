@@ -20,8 +20,9 @@
 // both slowed down by more than -threshold (default 0.15 = 15%) in ns/op,
 // B/op or allocs/op. The allocation gates only arm when both sides carry
 // -benchmem columns, so baselines recorded without them keep gating on
-// ns/op alone. Benchmarks only one side has are reported but never fail
-// the check. The
+// ns/op alone. A benchmark repeated on one side (`go test -count N`) is
+// compared by the median of its repeats. Benchmarks only one side has are
+// reported but never fail the check. The
 // baseline is the run named by -against when given; otherwise the newest
 // run in old.json that shares at least one benchmark with the new run (a
 // results file accumulates runs covering different benchmark suites —

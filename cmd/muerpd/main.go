@@ -16,11 +16,6 @@
 //	-batch       max admission batch size       (default 16)
 //	-ttl         default session TTL            (default 30s)
 //	-max-ttl     TTL cap                        (default 10m)
-//	-shards      admission shards; >1 partitions the topology into regions,
-//	             runs one admission plane per region and decides
-//	             cross-region sessions under every region's lock
-//	             (DESIGN.md §9; default 1)
-//	-partition-seed  region partitioner seed    (default 1)
 //	-data-dir    durable state directory (WAL + snapshots); crash recovery
 //	             restores every live session on restart (empty = in-memory)
 //	-snapshot-every / -snapshot-interval  snapshot cadence
@@ -95,8 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		batch     = fs.Int("batch", 16, "max admission batch size")
 		ttl       = fs.Duration("ttl", 30*time.Second, "default session TTL")
 		maxTTL    = fs.Duration("max-ttl", 10*time.Minute, "session TTL cap")
-		shards    = fs.Int("shards", 1, "admission shards (>1 partitions the topology into regions)")
-		partSeed  = fs.Int64("partition-seed", 1, "region partitioner seed")
 		dataDir   = fs.String("data-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")
 		snapEvery = fs.Int("snapshot-every", 1024, "snapshot after this many WAL records")
 		snapInt   = fs.Duration("snapshot-interval", 30*time.Second, "snapshot at least this often")
@@ -126,7 +119,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	base := service.Config{
+	svc, err := service.New(service.Config{
 		Graph:            g,
 		Params:           quantum.Params{Alpha: *alpha, SwapProb: *swapProb},
 		QueueSize:        *queueSize,
@@ -137,49 +130,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		SnapshotEvery:    *snapEvery,
 		SnapshotInterval: *snapInt,
 		QoS:              qcfg,
-	}
-	// One daemon, two shapes: the single admission plane, or -shards region
-	// planes behind the cross-region router. Both serve the same API.
-	var (
-		handler   http.Handler
-		closeSvc  func() error
-		admission func() string
-	)
-	if *shards > 1 {
-		svc, err := service.NewSharded(service.ShardedConfig{
-			Config:        base,
-			Shards:        *shards,
-			PartitionSeed: *partSeed,
-		})
-		if err != nil {
-			return err
-		}
-		part := svc.Partition()
-		fmt.Fprintf(out, "partitioned into %d regions (seed=%d boundary=%d cut=%d)\n",
-			part.K, part.Seed, len(part.Boundary), part.CutEdges)
-		handler = svc.Handler()
-		closeSvc = svc.Close
-		admission = func() string { return svc.Metrics().Admission.String() }
-	} else {
-		svc, err := service.New(base)
-		if err != nil {
-			return err
-		}
-		handler = svc.Handler()
-		closeSvc = svc.Close
-		admission = func() string { return svc.Metrics().Admission.String() }
+	})
+	if err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		_ = closeSvc()
+		_ = svc.Close()
 		return err
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
 		if err := writeFileAtomic(*addrFile, []byte(bound)); err != nil {
 			_ = ln.Close()
-			_ = closeSvc()
+			_ = svc.Close()
 			return fmt.Errorf("write addr file: %w", err)
 		}
 	}
@@ -190,14 +155,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
 			_ = ln.Close()
-			_ = closeSvc()
+			_ = svc.Close()
 			return fmt.Errorf("pprof listen: %w", err)
 		}
 		defer func() { _ = pln.Close() }()
 		if *addrFile != "" {
 			if err := writeFileAtomic(*addrFile+".pprof", []byte(pln.Addr().String())); err != nil {
 				_ = ln.Close()
-				_ = closeSvc()
+				_ = svc.Close()
 				return fmt.Errorf("write pprof addr file: %w", err)
 			}
 		}
@@ -213,7 +178,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	eff, err := json.Marshal(struct {
 		Addr      string        `json:"addr"`
-		Shards    int           `json:"shards"`
 		Queue     int           `json:"queue"`
 		Batch     int           `json:"batch"`
 		TTL       time.Duration `json:"ttl_ns"`
@@ -224,28 +188,27 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Tenants   int           `json:"tenants,omitempty"`
 		Pprof     bool          `json:"pprof,omitempty"`
 	}{
-		Addr: bound, Shards: *shards,
-		Queue: *queueSize, Batch: *batch,
+		Addr: bound, Queue: *queueSize, Batch: *batch,
 		TTL: *ttl, MaxTTL: *maxTTL, DataDir: *dataDir, SnapEvery: *snapEvery,
 		QoSConfig: *qosFile, Tenants: tenants,
 		Pprof: *pprofAddr != "",
 	})
 	if err != nil {
 		_ = ln.Close()
-		_ = closeSvc()
+		_ = svc.Close()
 		return err
 	}
 	fmt.Fprintf(out, "muerpd config %s\n", eff)
-	fmt.Fprintf(out, "muerpd listening on http://%s (batch<=%d queue=%d ttl=%v shards=%d tenants=%d)\n",
-		bound, *batch, *queueSize, *ttl, *shards, tenants)
+	fmt.Fprintf(out, "muerpd listening on http://%s (batch<=%d queue=%d ttl=%v tenants=%d)\n",
+		bound, *batch, *queueSize, *ttl, tenants)
 
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: svc.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	select {
 	case err := <-serveErr:
-		_ = closeSvc()
+		_ = svc.Close()
 		return err
 	case <-ctx.Done():
 	}
@@ -261,10 +224,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if err := closeSvc(); err != nil {
+	if err := svc.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "final admission summary:\n%s", admission())
+	fmt.Fprintf(out, "final admission summary:\n%s", svc.Metrics().Admission.String())
 	return nil
 }
 

@@ -50,15 +50,35 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-users", "1"},
 		{"-q", "7"},
 		{"-addr", "127.0.0.1:0", "-in", "/does/not/exist.json"},
-		{"-workers", "4"},       // removed: batches are decided serially
-		{"-solve-cache", "64"},  // removed with the solve cache
-		{"-batch-wait", "2ms"},  // removed: a batch is what is already queued
-		{"-cross-retries", "3"}, // removed: cross-region requests are decided once, under the shard locks
+		{"-workers", "4"},        // removed: batches are decided serially
+		{"-solve-cache", "64"},   // removed with the solve cache
+		{"-batch-wait", "2ms"},   // removed: a batch is what is already queued
+		{"-cross-retries", "3"},  // removed with the sharded plane
+		{"-shards", "4"},         // removed with the sharded plane
+		{"-partition-seed", "1"}, // removed with the sharded plane
 	} {
 		var buf strings.Builder
 		if err := run(context.Background(), args, &buf); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRefusesShardedDataDir points the daemon at a data directory holding a
+// sharded daemon's pinned partition: it must fail to start, naming the
+// marker, instead of serving an empty ledger.
+func TestRefusesShardedDataDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "partition.json"), []byte(`{"k":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A daemon that boots anyway serves until the deadline and returns nil.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var buf strings.Builder
+	err := run(ctx, []string{"-addr", "127.0.0.1:0", "-data-dir", dir}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "partition.json") {
+		t.Fatalf("run on a sharded data dir: %v, want an error naming partition.json", err)
 	}
 }
 

@@ -16,7 +16,6 @@
 //	-interarrival   mean inter-arrival (units)   (default 1)
 //	-hold           mean session hold (units)    (default 5)
 //	-group-min/max  session size bounds          (default 2..4)
-//	-affinity       single-region rewrite probability, sharded only (default -1 = off)
 //	-seed           RNG seed                     (default 1)
 //	-unit           real duration of one unit    (default 10ms)
 //	-timeout        per-request HTTP timeout     (default 5s)
@@ -33,16 +32,6 @@
 // infeasible, throttled (429 over quota) vs queue-full 429, errors — and
 // with -retry the requests that were throttled first but accepted on a
 // retry are reported separately (they are still one accepted session each).
-//
-// Against a sharded daemon (muerpd -shards N) qload fetches GET /partition,
-// classifies every request by its users' regions, and prints a per-shard
-// throughput/latency breakdown — single-region traffic per home shard plus
-// one "cross" row for the sessions that went through the locked
-// cross-region path — alongside the server's router counters. The -affinity
-// knob controls that mix: each generated session is rewritten with the given
-// probability to draw all its users from a single region (regions rotate
-// round-robin), so sweeps can dial the cross-region share from
-// workload-natural (-affinity -1 or 0) down to almost none (-affinity 1).
 package main
 
 import (
@@ -63,7 +52,6 @@ import (
 	"github.com/muerp/quantumnet/internal/buildinfo"
 	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/sched"
-	"github.com/muerp/quantumnet/internal/topology"
 	"github.com/muerp/quantumnet/internal/workload"
 )
 
@@ -148,7 +136,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		hold        = fs.Float64("hold", 5, "mean session hold (workload units)")
 		groupMin    = fs.Int("group-min", 2, "minimum users per session")
 		groupMax    = fs.Int("group-max", 4, "maximum users per session")
-		affinity    = fs.Float64("affinity", -1, "probability a session is rewritten to a single region (sharded daemon only, -1 = off)")
 		seed        = fs.Int64("seed", 1, "RNG seed")
 		unit        = fs.Duration("unit", 10*time.Millisecond, "real duration of one workload time unit")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request HTTP timeout")
@@ -179,10 +166,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	part, err := fetchPartition(ctx, client, base)
-	if err != nil {
-		return err
-	}
 	if *sessions < 1 {
 		return fmt.Errorf("-sessions must be >= 1, got %d", *sessions)
 	}
@@ -207,15 +190,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}.Sessions(g, arrivals, trafficRNG)
 	if err != nil {
 		return err
-	}
-	if *affinity >= 0 {
-		if *affinity > 1 {
-			return fmt.Errorf("-affinity must be in [0, 1], got %v", *affinity)
-		}
-		if part == nil {
-			return fmt.Errorf("-affinity needs a sharded daemon (no /partition at %s)", base)
-		}
-		applyAffinity(requests, part, g, *affinity, rand.New(rand.NewSource(*seed+1)))
 	}
 	if *retry < 0 {
 		return fmt.Errorf("-retry must be >= 0, got %d", *retry)
@@ -304,9 +278,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			q(0.50).Round(time.Microsecond), q(0.95).Round(time.Microsecond),
 			latencies[len(latencies)-1].Round(time.Microsecond))
 	}
-	if part != nil {
-		printShardBreakdown(out, part, requests, outcomes)
-	}
 	if tenants != nil {
 		printTenantBreakdown(out, tenants, outcomes)
 	}
@@ -320,99 +291,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("achieved %.1f req/s, need at least %.1f", rps, *minRPS)
 	}
 	return nil
-}
-
-// applyAffinity rewrites each request, with the given probability, to draw
-// all its users from one region, preserving the group size. Regions rotate
-// round-robin among those with enough users for the group, so forced
-// single-region load spreads across shards; sessions that lose the coin
-// flip — or that no region can host — keep their generated user set, making
-// affinity a lower bound on the single-region share, not an exact one.
-func applyAffinity(requests []sched.Request, part *topology.Partition, g *graph.Graph, affinity float64, rng *rand.Rand) {
-	regionUsers := make([][]graph.NodeID, part.K)
-	for _, u := range g.Users() {
-		r := part.RegionOf(u)
-		regionUsers[r] = append(regionUsers[r], u)
-	}
-	next := 0
-	for i := range requests {
-		if rng.Float64() >= affinity {
-			continue
-		}
-		size := len(requests[i].Users)
-		chosen := -1
-		for probe := 0; probe < part.K; probe++ {
-			r := (next + probe) % part.K
-			if len(regionUsers[r]) >= size {
-				chosen = r
-				next = r + 1
-				break
-			}
-		}
-		if chosen < 0 {
-			continue
-		}
-		pool := regionUsers[chosen]
-		perm := rng.Perm(len(pool))
-		users := make([]graph.NodeID, size)
-		for j := range users {
-			users[j] = pool[perm[j]]
-		}
-		requests[i].Users = users
-	}
-}
-
-// requestClass maps a request onto the shard that would decide it: its
-// users' common region, or -1 for the cross-region path.
-func requestClass(part *topology.Partition, users []graph.NodeID) int {
-	r := part.RegionOf(users[0])
-	for _, u := range users[1:] {
-		if part.RegionOf(u) != r {
-			return -1
-		}
-	}
-	return r
-}
-
-// printShardBreakdown splits the replay's outcomes by deciding shard and
-// prints one throughput/latency row per shard plus one for the cross-region
-// path.
-func printShardBreakdown(out io.Writer, part *topology.Partition, requests []sched.Request, outcomes []outcome) {
-	type row struct {
-		total, accepted int
-		lats            []time.Duration
-	}
-	rows := make([]row, part.K+1) // rows[K] is the cross-region class
-	for i, req := range requests {
-		cls := requestClass(part, req.Users)
-		if cls < 0 {
-			cls = part.K
-		}
-		rows[cls].total++
-		if outcomes[i].status == http.StatusCreated {
-			rows[cls].accepted++
-		}
-		if outcomes[i].err == nil {
-			rows[cls].lats = append(rows[cls].lats, outcomes[i].latency)
-		}
-	}
-	fmt.Fprintf(out, "shard breakdown (%d regions):\n", part.K)
-	for cls, r := range rows {
-		if r.total == 0 {
-			continue
-		}
-		name := fmt.Sprintf("shard %d", cls)
-		if cls == part.K {
-			name = "cross  "
-		}
-		line := fmt.Sprintf("  %s  %4d requests  %4d accepted", name, r.total, r.accepted)
-		if len(r.lats) > 0 {
-			sort.Slice(r.lats, func(i, j int) bool { return r.lats[i] < r.lats[j] })
-			q := func(p float64) time.Duration { return r.lats[int(p*float64(len(r.lats)-1))] }
-			line += fmt.Sprintf("  p50 %v  p95 %v", q(0.50).Round(time.Microsecond), q(0.95).Round(time.Microsecond))
-		}
-		fmt.Fprintln(out, line)
-	}
 }
 
 // printTenantBreakdown splits the replay by assigned tenant: one row per
@@ -546,33 +424,8 @@ func fetchTopology(ctx context.Context, client *http.Client, base string) (*grap
 	return graph.ReadJSON(resp.Body)
 }
 
-// fetchPartition asks the daemon for its region partition; nil without
-// error means the daemon is unsharded (404).
-func fetchPartition(ctx context.Context, client *http.Client, base string) (*topology.Partition, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/partition", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fetch partition: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetch partition: status %d", resp.StatusCode)
-	}
-	var p topology.Partition
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		return nil, fmt.Errorf("decode partition: %w", err)
-	}
-	return &p, nil
-}
-
 // printServerMetrics surfaces the daemon-side view after the run: the
-// shared admission summary plus batching, router and tenant counters.
+// shared admission summary plus batching and tenant counters.
 func printServerMetrics(ctx context.Context, client *http.Client, base string, out io.Writer) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
@@ -590,14 +443,7 @@ func printServerMetrics(ctx context.Context, client *http.Client, base string, o
 			MaxSize  int64   `json:"max_size"`
 		} `json:"batches"`
 		Admission sched.Summary `json:"admission"`
-		Router    *struct {
-			Shards          int     `json:"shards"`
-			SingleRegion    int64   `json:"single_region"`
-			CrossRegion     int64   `json:"cross_region"`
-			CrossRegionRate float64 `json:"cross_region_rate"`
-			Prepares        int64   `json:"prepares"`
-		} `json:"router"`
-		Tenants []struct {
+		Tenants   []struct {
 			ID        string `json:"id"`
 			Weight    int    `json:"weight"`
 			Priority  int    `json:"priority"`
@@ -616,10 +462,6 @@ func printServerMetrics(ctx context.Context, client *http.Client, base string, o
 	}
 	fmt.Fprintf(out, "server batches: %d (mean %.2f, max %d)\n",
 		m.Batches.Count, m.Batches.MeanSize, m.Batches.MaxSize)
-	if r := m.Router; r != nil {
-		fmt.Fprintf(out, "router:         %d shards, %d single-region, %d cross-region (%.1f%%), %d cross-region commits\n",
-			r.Shards, r.SingleRegion, r.CrossRegion, r.CrossRegionRate*100, r.Prepares)
-	}
 	if len(m.Tenants) > 0 {
 		fmt.Fprintf(out, "server tenants:\n")
 		for _, tm := range m.Tenants {

@@ -36,35 +36,6 @@ func testDaemon(t *testing.T) string {
 	return strings.TrimPrefix(ts.URL, "http://")
 }
 
-// testShardedDaemon boots a two-shard daemon over a dumbbell: two 2-switch
-// clusters joined by one fiber, four users on each side.
-func testShardedDaemon(t *testing.T) string {
-	t.Helper()
-	g := graph.New(0, 0)
-	var sws []graph.NodeID
-	for i := 0; i < 4; i++ {
-		sws = append(sws, g.AddSwitch(float64(i/2)*5000, float64(i%2)*100, 16))
-	}
-	g.MustAddEdge(sws[0], sws[1], 100)
-	g.MustAddEdge(sws[2], sws[3], 100)
-	g.MustAddEdge(sws[1], sws[2], 4900)
-	for i := 0; i < 8; i++ {
-		u := g.AddUser(float64(i/4)*5000, 200+float64(i%4))
-		g.MustAddEdge(u, sws[(i/4)*2], 300)
-		g.MustAddEdge(u, sws[(i/4)*2+1], 300)
-	}
-	s, err := service.NewSharded(service.ShardedConfig{
-		Config: service.Config{Graph: g}, Shards: 2, PartitionSeed: 1,
-	})
-	if err != nil {
-		t.Fatalf("service.NewSharded: %v", err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return strings.TrimPrefix(ts.URL, "http://")
-}
-
 // testQoSDaemon boots the small daemon with a tenant policy: "hog" is on a
 // tight quota, "calm" is unlimited.
 func testQoSDaemon(t *testing.T) string {
@@ -210,6 +181,20 @@ func TestReplayAgainstDaemon(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	for _, gone := range []string{"speculation:", "solve cache:", "footprint pool:", "shard breakdown", "router:"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("removed %q line still printed:\n%s", gone, out)
+		}
+	}
+}
+
+// -affinity went with the sharded plane: it is an unknown flag now.
+func TestRejectsRemovedFlags(t *testing.T) {
+	var buf strings.Builder
+	err := run(context.Background(), []string{"-addr", testDaemon(t), "-affinity", "0.5"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "-affinity") {
+		t.Fatalf("want an unknown-flag error for -affinity, got %v", err)
+	}
 }
 
 // -arrival swaps the replay's traffic model: each named process must run to
@@ -239,44 +224,6 @@ func TestArrivalProcessSelection(t *testing.T) {
 	}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "bursty") {
 		t.Fatalf("want unknown-process error, got %v", err)
-	}
-}
-
-// -affinity 1 must rewrite every session onto a single region: the shard
-// breakdown prints no cross-region row, and the run still succeeds.
-func TestAffinityForcesSingleRegion(t *testing.T) {
-	addr := testShardedDaemon(t)
-	var buf strings.Builder
-	err := run(context.Background(), []string{
-		"-addr", addr, "-sessions", "30", "-unit", "1ms", "-group-max", "3",
-		"-affinity", "1", "-min-accepted", "1",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "shard breakdown") {
-		t.Fatalf("no shard breakdown printed:\n%s", out)
-	}
-	if strings.Contains(out, "cross ") {
-		t.Errorf("affinity 1 still produced cross-region sessions:\n%s", out)
-	}
-	for _, gone := range []string{"speculation:", "solve cache:", "footprint pool:"} {
-		if strings.Contains(out, gone) {
-			t.Errorf("removed %q line still printed:\n%s", gone, out)
-		}
-	}
-}
-
-// -affinity against an unsharded daemon is a usage error, not a silent no-op.
-func TestAffinityNeedsShardedDaemon(t *testing.T) {
-	addr := testDaemon(t)
-	var buf strings.Builder
-	err := run(context.Background(), []string{
-		"-addr", addr, "-sessions", "2", "-unit", "1ms", "-affinity", "0.5",
-	}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Fatalf("want sharded-daemon error, got %v", err)
 	}
 }
 

@@ -16,11 +16,9 @@
 //     the recovered per-switch occupancy exactly,
 //   - session IDs are below the recovered ID counter.
 //
-// A directory written by a sharded daemon (muerpd -shards N pins a
-// partition.json) is detected automatically: every shard's WAL stream is
-// recovered and verified against its region graph, then the shards are
-// composed into one full-topology state — which must itself verify, with
-// no cross-region session torn between shards.
+// A directory written by a sharded daemon (one with a partition.json,
+// per-shard wal/wal-s* streams or snap/s* directories) is refused: the
+// sharded plane is gone and nothing recovers its streams.
 //
 // Exit status 0 means the directory recovers cleanly; 1 means it does not
 // (corrupt log, divergent occupancy, invalid tree). -json dumps the full
@@ -76,64 +74,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// A pinned partition marks a sharded layout: recover every shard's WAL
-	// stream independently, verify each against its region graph, and
-	// compose the shards into one full-topology state for the report.
-	part, sharded, err := service.LoadPartition(*dataDir, g)
+	t0 := time.Now()
+	rec, err := service.Recover(*dataDir, g)
 	if err != nil {
 		return err
 	}
-
-	t0 := time.Now()
-	var st service.State
-	var snapLine, walLine string
-	if sharded {
-		states := make([]service.State, part.K)
-		var walRecords, nextSeq uint64
-		snaps := 0
-		for r := 0; r < part.K; r++ {
-			rg := service.RegionGraph(g, part, r)
-			rec, err := service.RecoverShard(*dataDir, r, rg)
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", r, err)
-			}
-			if !*noVerify {
-				if err := service.VerifyState(rg, params, rec.State); err != nil {
-					return fmt.Errorf("shard %d verification failed: %w", r, err)
-				}
-			}
-			if rec.SnapshotPath != "" {
-				snaps++
-			}
-			walRecords += rec.WALRecords
-			if rec.NextSeq > nextSeq {
-				nextSeq = rec.NextSeq
-			}
-			states[r] = rec.State
-		}
-		var torn []string
-		st, torn, err = service.ComposeShardStates(g, part, states)
-		if err != nil {
-			return err
-		}
-		if len(torn) > 0 {
-			return fmt.Errorf("torn cross-region sessions: %v", torn)
-		}
-		snapLine = fmt.Sprintf("%d of %d shards from snapshots", snaps, part.K)
-		walLine = fmt.Sprintf("%d records replayed across %d streams, max next seq %d", walRecords, part.K, nextSeq)
-	} else {
-		rec, err := service.Recover(*dataDir, g)
-		if err != nil {
-			return err
-		}
-		st = rec.State
-		if rec.SnapshotPath != "" {
-			snapLine = fmt.Sprintf("%s (covers %d records)", rec.SnapshotPath, rec.SnapshotSeq)
-		} else {
-			snapLine = "none (full WAL replay)"
-		}
-		walLine = fmt.Sprintf("%d records replayed, next seq %d", rec.WALRecords, rec.NextSeq)
-	}
+	st := rec.State
 	dur := time.Since(t0)
 	used := 0
 	for _, id := range g.Switches() {
@@ -146,12 +92,12 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "recovered %s in %v\n", *dataDir, dur.Round(time.Microsecond))
-	if sharded {
-		fmt.Fprintf(out, "  partition: %d regions (seed=%d, %d boundary switches, %d cut edges)\n",
-			part.K, part.Seed, len(part.Boundary), part.CutEdges)
+	if rec.SnapshotPath != "" {
+		fmt.Fprintf(out, "  snapshot:  %s (covers %d records)\n", rec.SnapshotPath, rec.SnapshotSeq)
+	} else {
+		fmt.Fprintf(out, "  snapshot:  none (full WAL replay)\n")
 	}
-	fmt.Fprintf(out, "  snapshot:  %s\n", snapLine)
-	fmt.Fprintf(out, "  wal:       %s\n", walLine)
+	fmt.Fprintf(out, "  wal:       %d records replayed, next seq %d\n", rec.WALRecords, rec.NextSeq)
 	fmt.Fprintf(out, "  sessions:  %d live (%d already expired at %s)\n", len(st.Sessions), expired, at.Format(time.RFC3339))
 	// Tenant-tagged WAL records (DESIGN.md §11) surface here as a per-tenant
 	// census; directories written before the QoS layer have only untagged

@@ -136,114 +136,41 @@ func TestRecoverToolRejectsNonDataDir(t *testing.T) {
 	}
 }
 
-// dumbbell builds two roomy switches joined by one edge, two users on each:
-// the smallest topology with genuinely cross-region sessions under k=2.
-func dumbbell(t *testing.T) *graph.Graph {
-	t.Helper()
-	g := graph.New(6, 5)
-	g.AddUser(0, 0)
-	g.AddUser(0, 2000)
-	g.AddUser(4000, 0)
-	g.AddUser(4000, 2000)
-	a := g.AddSwitch(1000, 1000, 8)
-	b := g.AddSwitch(3000, 1000, 8)
-	g.MustAddEdge(0, a, 1500)
-	g.MustAddEdge(1, a, 1500)
-	g.MustAddEdge(2, b, 1500)
-	g.MustAddEdge(3, b, 1500)
-	g.MustAddEdge(a, b, 1500)
-	return g
-}
-
-// TestRecoverToolShardedDirectory drives a sharded daemon over a dumbbell
-// topology, then replays the directory with the tool: it must detect the
-// pinned partition, recover both WAL streams, verify each shard and the
-// composed state, and dump a composed JSON state matching the live one.
-func TestRecoverToolShardedDirectory(t *testing.T) {
-	dir := t.TempDir()
-	g := dumbbell(t)
-	s, err := service.NewSharded(service.ShardedConfig{
-		Config: service.Config{Graph: g, DataDir: dir, MaxTTL: time.Hour},
-		Shards: 2, PartitionSeed: 1,
-	})
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-
-	part := s.Partition()
-	var local, cross []graph.NodeID
-	for _, u := range g.Users() {
-		if part.RegionOf(u) == part.RegionOf(g.Users()[0]) {
-			local = append(local, u)
+// TestRecoverToolRefusesShardedDirectory plants each marker a sharded
+// daemon leaves — a per-shard WAL stream segment, a per-shard snapshot
+// directory, a pinned partition — into a data directory with live sessions:
+// the tool must fail and name the marker instead of reporting a recovery
+// that skipped the shards' records.
+func TestRecoverToolRefusesShardedDirectory(t *testing.T) {
+	for _, marker := range []string{
+		filepath.Join("wal", "wal-s00000000-0000000000000000.log"),
+		filepath.Join("snap", "s00"),
+		"partition.json",
+	} {
+		dir := t.TempDir()
+		s, err := service.New(service.Config{Graph: star(t), DataDir: dir, MaxTTL: time.Hour})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := s.Submit(context.Background(), []graph.NodeID{0, 1}, time.Hour); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		path := filepath.Join(dir, marker)
+		if filepath.Base(marker) == "s00" {
+			err = os.MkdirAll(path, 0o755)
 		} else {
-			cross = append(cross, u)
+			err = os.WriteFile(path, nil, 0o644)
 		}
-	}
-	if len(local) < 2 || len(cross) < 1 {
-		t.Fatalf("degenerate partition: local=%v cross=%v", local, cross)
-	}
-	if _, err := s.Submit(context.Background(), local[:2], time.Hour); err != nil {
-		t.Fatalf("local submit: %v", err)
-	}
-	info, err := s.Submit(context.Background(), []graph.NodeID{local[0], cross[0]}, time.Hour)
-	if err != nil {
-		t.Fatalf("cross submit: %v", err)
-	}
-	doomed, err := s.Submit(context.Background(), []graph.NodeID{local[1], cross[0]}, time.Hour)
-	if err != nil {
-		t.Fatalf("second cross submit: %v", err)
-	}
-	if err := s.Delete(doomed.ID); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-
-	var out bytes.Buffer
-	if err := run([]string{"-data-dir", dir}, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	if !strings.Contains(text, "partition: 2 regions") {
-		t.Fatalf("sharded layout not detected:\n%s", text)
-	}
-	if !strings.Contains(text, "sessions:  2 live") {
-		t.Fatalf("expected 2 live sessions in report:\n%s", text)
-	}
-	if !strings.Contains(text, "verify:") {
-		t.Fatalf("verification did not run:\n%s", text)
-	}
-
-	out.Reset()
-	if err := run([]string{"-data-dir", dir, "-json"}, &out); err != nil {
-		t.Fatalf("run -json: %v", err)
-	}
-	blob := out.String()
-	var st service.State
-	if err := json.Unmarshal([]byte(blob[strings.Index(blob, "{"):]), &st); err != nil {
-		t.Fatalf("decode dump: %v", err)
-	}
-	composed, torn, err := s.ComposedState()
-	if err != nil || len(torn) > 0 {
-		t.Fatalf("live composed state: torn=%v err=%v", torn, err)
-	}
-	want, err := json.Marshal(composed)
-	if err != nil {
-		t.Fatalf("marshal live state: %v", err)
-	}
-	got, err := json.Marshal(st)
-	if err != nil {
-		t.Fatalf("re-marshal dump: %v", err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("tool state differs from live composed state\nlive: %s\ntool: %s", want, got)
-	}
-	found := false
-	for _, ss := range st.Sessions {
-		if ss.Info.ID == info.ID {
-			found = true
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("cross-region session %s missing from composed dump:\n%s", info.ID, blob)
+		var out bytes.Buffer
+		err = run([]string{"-data-dir", dir}, &out)
+		if err == nil || !strings.Contains(err.Error(), marker) {
+			t.Errorf("%s: run = %v, want an error naming the marker\n%s", marker, err, out.String())
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -222,14 +223,10 @@ func (d Delta) AllocRegressed(threshold float64) bool {
 // with the `-N` GOMAXPROCS suffix stripped, so a baseline recorded on one
 // core count still pairs with a run from another machine. Benchmarks only
 // one side has are ignored: a renamed or newly added bench is not a
-// regression. Duplicate names keep the first occurrence on each side.
+// regression. A name repeated on one side (`go test -count N`) is compared
+// by the median of its repeats, column by column.
 func Compare(old, new Report) []Delta {
-	newRes := make(map[string]Result, len(new.Results))
-	for _, r := range new.Results {
-		if _, dup := newRes[baseName(r.Name)]; !dup {
-			newRes[baseName(r.Name)] = r
-		}
-	}
+	oldRes, newRes := medians(old), medians(new)
 	var deltas []Delta
 	seen := make(map[string]bool, len(old.Results))
 	for _, r := range old.Results {
@@ -239,17 +236,47 @@ func Compare(old, new Report) []Delta {
 			continue
 		}
 		seen[key] = true
+		or := oldRes[key]
 		deltas = append(deltas, Delta{
 			Name:      r.Name,
-			OldNs:     r.NsPerOp,
+			OldNs:     or.NsPerOp,
 			NewNs:     nr.NsPerOp,
-			OldBytes:  r.BytesPerOp,
+			OldBytes:  or.BytesPerOp,
 			NewBytes:  nr.BytesPerOp,
-			OldAllocs: r.AllocsPerOp,
+			OldAllocs: or.AllocsPerOp,
 			NewAllocs: nr.AllocsPerOp,
 		})
 	}
 	return deltas
+}
+
+// medians folds a run's repeated results by base name into one Result whose
+// ns/op, B/op and allocs/op are each the median of the repeats (the mean of
+// the two middle values for an even count).
+func medians(rep Report) map[string]Result {
+	groups := make(map[string][]Result, len(rep.Results))
+	for _, r := range rep.Results {
+		key := baseName(r.Name)
+		groups[key] = append(groups[key], r)
+	}
+	out := make(map[string]Result, len(groups))
+	for key, rs := range groups {
+		col := func(get func(Result) float64) float64 {
+			v := make([]float64, len(rs))
+			for i, r := range rs {
+				v[i] = get(r)
+			}
+			sort.Float64s(v)
+			n := len(v)
+			return (v[(n-1)/2] + v[n/2]) / 2
+		}
+		out[key] = Result{
+			NsPerOp:     col(func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  int64(col(func(r Result) float64 { return float64(r.BytesPerOp) })),
+			AllocsPerOp: int64(col(func(r Result) float64 { return float64(r.AllocsPerOp) })),
+		}
+	}
+	return out
 }
 
 // baseName strips the trailing -N procs suffix `go test -bench` appends

@@ -121,6 +121,7 @@ func TestCompareDuplicateAndBadValues(t *testing.T) {
 	old := Report{Results: []Result{
 		{Name: "BenchmarkDup-8", NsPerOp: 10},
 		{Name: "BenchmarkDup-8", NsPerOp: 99},
+		{Name: "BenchmarkDup-8", NsPerOp: 12},
 		{Name: "BenchmarkZero-8", NsPerOp: 0},
 	}}
 	cur := Report{Results: []Result{
@@ -131,12 +132,45 @@ func TestCompareDuplicateAndBadValues(t *testing.T) {
 	if len(deltas) != 2 {
 		t.Fatalf("want dup collapsed to one delta + zero entry, got %+v", deltas)
 	}
-	if deltas[0].OldNs != 10 {
-		t.Errorf("duplicate name should keep first occurrence, got OldNs=%v", deltas[0].OldNs)
+	if deltas[0].OldNs != 12 {
+		t.Errorf("repeated name should compare by its median, got OldNs=%v", deltas[0].OldNs)
 	}
 	// A zero baseline must read as a regression, never an improvement.
 	if !deltas[1].Regressed(0.15) || !math.IsInf(deltas[1].Ratio(), 1) {
 		t.Errorf("zero-baseline delta = %+v; want +Inf ratio, regressed", deltas[1])
+	}
+}
+
+// A -count N run compares by the median of each name's repeats, column by
+// column, on both sides; an even count takes the mean of the middle two.
+func TestCompareMedianOfRepeats(t *testing.T) {
+	old := Report{Results: []Result{
+		{Name: "BenchmarkA-2", NsPerOp: 100, BytesPerOp: 64, AllocsPerOp: 4},
+		{Name: "BenchmarkA-2", NsPerOp: 300, BytesPerOp: 64, AllocsPerOp: 4},
+		{Name: "BenchmarkA-2", NsPerOp: 110, BytesPerOp: 96, AllocsPerOp: 5},
+		{Name: "BenchmarkB-2", NsPerOp: 50},
+		{Name: "BenchmarkB-2", NsPerOp: 70},
+	}}
+	cur := Report{Results: []Result{
+		{Name: "BenchmarkA-2", NsPerOp: 500, BytesPerOp: 64, AllocsPerOp: 4},
+		{Name: "BenchmarkA-2", NsPerOp: 115, BytesPerOp: 64, AllocsPerOp: 4},
+		{Name: "BenchmarkA-2", NsPerOp: 120, BytesPerOp: 64, AllocsPerOp: 4},
+		{Name: "BenchmarkB-2", NsPerOp: 61},
+	}}
+	deltas := Compare(old, cur)
+	if len(deltas) != 2 {
+		t.Fatalf("want 2 deltas, got %+v", deltas)
+	}
+	a, b := deltas[0], deltas[1]
+	if a.OldNs != 110 || a.NewNs != 120 || a.OldBytes != 64 || a.OldAllocs != 4 {
+		t.Fatalf("A paired %+v, want medians 110 -> 120 ns/op, 64 B/op, 4 allocs/op", a)
+	}
+	// One 500 ns/op outlier in three repeats no longer flags a regression.
+	if a.Regressed(0.15) {
+		t.Errorf("A median +9%% flagged as regressed: %+v", a)
+	}
+	if b.OldNs != 60 || b.NewNs != 61 {
+		t.Fatalf("B paired %+v, want 60 -> 61 ns/op", b)
 	}
 }
 

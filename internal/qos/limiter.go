@@ -15,8 +15,7 @@ type bucket struct {
 }
 
 // Limiter enforces per-tenant admission-rate quotas. It is safe for
-// concurrent use; in the sharded plane one Limiter is shared by every
-// shard so quotas are global rather than multiplied by the shard count.
+// concurrent use.
 //
 // The caller supplies the clock reading, which keeps the limiter
 // deterministic under the service layer's fake clock.

@@ -69,17 +69,10 @@ type walRecord struct {
 // admitRecord persists one accepted session: its public info, the routed
 // tree whose channels replay reserves in order, and the ID-counter value
 // after the admit so recovery continues the ID sequence without reuse.
-// Cross-region sessions (Shards non-empty) replay by reserving Load — this
-// shard's slice of the tree's per-switch demand — instead of the tree; the
-// tree itself is recorded only on the session's home shard (Secondary
-// false) for inspection and cross-shard verification.
 type admitRecord struct {
-	Info      SessionInfo         `json:"info"`
-	Tree      quantum.Tree        `json:"tree"`
-	NextID    uint64              `json:"next_id"`
-	Load      []quantum.LoadEntry `json:"load,omitempty"`
-	Shards    []int               `json:"shards,omitempty"`
-	Secondary bool                `json:"secondary,omitempty"`
+	Info   SessionInfo  `json:"info"`
+	Tree   quantum.Tree `json:"tree"`
+	NextID uint64       `json:"next_id"`
 }
 
 // releaseRecord persists one capacity refund (TTL expiry or DELETE).
@@ -99,14 +92,10 @@ type epochRecord struct {
 	Gen uint64 `json:"gen"`
 }
 
-// SessionState is one live session as persisted in a snapshot. Load, Shards
-// and Secondary mirror the session's cross-region fields (admitRecord).
+// SessionState is one live session as persisted in a snapshot.
 type SessionState struct {
-	Info      SessionInfo         `json:"info"`
-	Tree      quantum.Tree        `json:"tree"`
-	Load      []quantum.LoadEntry `json:"load,omitempty"`
-	Shards    []int               `json:"shards,omitempty"`
-	Secondary bool                `json:"secondary,omitempty"`
+	Info SessionInfo  `json:"info"`
+	Tree quantum.Tree `json:"tree"`
 }
 
 // State is the serializable image of the daemon's admission state: the
@@ -124,7 +113,6 @@ type State struct {
 // unset. recs, snapSeq and snapMeta are guarded by the server mutex.
 type durability struct {
 	dir      string
-	snaps    string // snapshot directory: snap/ or snap/s<ii>/ for a shard
 	log      *wal.Log
 	every    uint64
 	interval time.Duration
@@ -204,10 +192,7 @@ func (s *Server) stateLocked() State {
 		Sessions: make([]SessionState, len(s.expiry)),
 	}
 	for i, sess := range s.expiry {
-		st.Sessions[i] = SessionState{
-			Info: sess.info, Tree: sess.tree,
-			Load: sess.load, Shards: sess.shards, Secondary: sess.secondary,
-		}
+		st.Sessions[i] = SessionState{Info: sess.info, Tree: sess.tree}
 	}
 	return st
 }
@@ -253,7 +238,7 @@ func (s *Server) snapshotNow() {
 	st := s.stateLocked()
 	s.mu.Unlock()
 
-	meta, err := snapshot.Save(s.dur.snaps, seq, s.clock.Now(), st)
+	meta, err := snapshot.Save(snapDir(s.dur.dir), seq, s.clock.Now(), st)
 	if err != nil {
 		s.dur.snapErrs.Add(1)
 		return
@@ -265,21 +250,37 @@ func (s *Server) snapshotNow() {
 	if _, err := s.dur.log.Compact(seq); err != nil && !errors.Is(err, wal.ErrClosed) {
 		s.dur.snapErrs.Add(1)
 	}
-	if err := snapshot.Prune(s.dur.snaps, s.dur.keep); err != nil {
+	if err := snapshot.Prune(snapDir(s.dur.dir), s.dur.keep); err != nil {
 		s.dur.snapErrs.Add(1)
 	}
 }
 
-// Data-directory layout: wal/ (segments; a sharded server interleaves one
-// WAL stream per shard in the same directory), snap/ (snapshots; shard i
-// snapshots under snap/s<ii>/), topology.json + params.json (pinned
-// environment) and partition.json (pinned region partition, sharded only).
+// Data-directory layout: wal/ (segments), snap/ (snapshots) and
+// topology.json + params.json (+ qos.json) (pinned environment).
 func walDir(dataDir string) string  { return filepath.Join(dataDir, "wal") }
 func snapDir(dataDir string) string { return filepath.Join(dataDir, "snap") }
 
-// shardSnapDir returns shard i's snapshot directory inside a data dir.
-func shardSnapDir(dataDir string, shard int) string {
-	return filepath.Join(dataDir, "snap", fmt.Sprintf("s%02d", shard))
+// refuseSharded fails on a data directory written by the removed sharded
+// admission plane, naming the first marker it finds: a pinned
+// partition.json, a per-shard WAL stream segment (wal/wal-s*) or a
+// per-shard snapshot directory (snap/s*). Replaying such a directory would
+// skip every shard's records and boot an empty ledger.
+func refuseSharded(dataDir string) error {
+	for _, pattern := range []string{"partition.json", "wal/wal-s*", "snap/s*"} {
+		found, err := filepath.Glob(filepath.Join(dataDir, filepath.FromSlash(pattern)))
+		if err != nil {
+			return err
+		}
+		for _, path := range found {
+			// Snapshot files (snap/snap-*) are ours; only directories mark shards.
+			if fi, err := os.Stat(path); err == nil && (fi.IsDir() || pattern != "snap/s*") {
+				rel, _ := filepath.Rel(dataDir, path)
+				return fmt.Errorf("service: %s was written by a sharded daemon (found %s); sharded data directories cannot be recovered",
+					dataDir, rel)
+			}
+		}
+	}
+	return nil
 }
 
 // TopologyPath returns the pinned-topology file inside a data directory.
@@ -383,10 +384,7 @@ func (rs *replayState) restore(st State) error {
 		if _, dup := rs.sessions[ss.Info.ID]; dup {
 			return fmt.Errorf("service: snapshot lists session %q twice", ss.Info.ID)
 		}
-		sess := &session{
-			info: ss.Info, tree: ss.Tree, expiresAt: ss.Info.ExpiresAt, heapIdx: i,
-			load: ss.Load, shards: ss.Shards, secondary: ss.Secondary,
-		}
+		sess := &session{info: ss.Info, tree: ss.Tree, expiresAt: ss.Info.ExpiresAt, heapIdx: i}
 		rs.sessions[ss.Info.ID] = sess
 		rs.expiry = append(rs.expiry, sess)
 	}
@@ -408,22 +406,12 @@ func (rs *replayState) apply(seq uint64, payload []byte) error {
 		if _, dup := rs.sessions[a.Info.ID]; dup {
 			return fmt.Errorf("service: WAL record %d admits duplicate session %q", seq, a.Info.ID)
 		}
-		if len(a.Shards) > 0 {
-			// Cross-region: this shard holds a load slice, not the tree.
-			if err := rs.led.ReserveLoad(a.Load); err != nil {
+		for _, c := range a.Tree.Channels {
+			if err := rs.led.Reserve(c.Nodes); err != nil {
 				return fmt.Errorf("service: WAL record %d (admit %s): %w", seq, a.Info.ID, err)
 			}
-		} else {
-			for _, c := range a.Tree.Channels {
-				if err := rs.led.Reserve(c.Nodes); err != nil {
-					return fmt.Errorf("service: WAL record %d (admit %s): %w", seq, a.Info.ID, err)
-				}
-			}
 		}
-		sess := &session{
-			info: a.Info, tree: a.Tree, expiresAt: a.Info.ExpiresAt,
-			load: a.Load, shards: a.Shards, secondary: a.Secondary,
-		}
+		sess := &session{info: a.Info, tree: a.Tree, expiresAt: a.Info.ExpiresAt}
 		rs.sessions[a.Info.ID] = sess
 		heap.Push(&rs.expiry, sess)
 		if a.NextID > rs.nextID {
@@ -438,11 +426,7 @@ func (rs *replayState) apply(seq uint64, payload []byte) error {
 			return fmt.Errorf("service: WAL record %d releases unknown session %q", seq, rec.Release.ID)
 		}
 		heap.Remove(&rs.expiry, sess.heapIdx)
-		if sess.shards != nil {
-			rs.led.ReleaseLoad(sess.load)
-		} else {
-			core.ReleaseTree(rs.led, sess.tree)
-		}
+		core.ReleaseTree(rs.led, sess.tree)
 		delete(rs.sessions, sess.info.ID)
 	case recEpoch:
 		if rec.Epoch == nil {
@@ -464,10 +448,7 @@ func (rs *replayState) dump() State {
 		Sessions: make([]SessionState, len(rs.expiry)),
 	}
 	for i, sess := range rs.expiry {
-		st.Sessions[i] = SessionState{
-			Info: sess.info, Tree: sess.tree,
-			Load: sess.load, Shards: sess.shards, Secondary: sess.secondary,
-		}
+		st.Sessions[i] = SessionState{Info: sess.info, Tree: sess.tree}
 	}
 	return st
 }
@@ -491,27 +472,17 @@ type Recovered struct {
 // Recover rebuilds the admission state recorded in dataDir against g: it
 // loads the newest valid snapshot (if any) and replays the WAL suffix on
 // top. It never mutates the directory, so it is safe to run offline
-// (cmd/qrecover) or repeatedly.
+// (cmd/qrecover) or repeatedly. A directory written by a sharded daemon is
+// refused (refuseSharded).
 func Recover(dataDir string, g *graph.Graph) (*Recovered, error) {
-	return recoverDirs(walDir(dataDir), snapDir(dataDir), 0, false, g)
-}
-
-// RecoverShard rebuilds one shard's admission state from its WAL stream and
-// snapshot directory inside a shared data dir. g must be the shard's region
-// graph (RegionGraph), not the full topology: the shard's ledger budgets are
-// defined over it. Shards recover independently — no cross-stream order.
-func RecoverShard(dataDir string, shard int, g *graph.Graph) (*Recovered, error) {
-	return recoverDirs(walDir(dataDir), shardSnapDir(dataDir, shard), wal.StreamID(shard), true, g)
-}
-
-// recoverDirs is the shared snapshot-restore + WAL-replay engine behind
-// Recover (v1 log) and RecoverShard (one v2 stream).
-func recoverDirs(wdir, sdir string, stream wal.StreamID, streamed bool, g *graph.Graph) (*Recovered, error) {
+	if err := refuseSharded(dataDir); err != nil {
+		return nil, err
+	}
 	rs := newReplayState(g)
 	rec := &Recovered{rs: rs}
 
 	var st State
-	meta, ok, err := snapshot.Latest(sdir, &st)
+	meta, ok, err := snapshot.Latest(snapDir(dataDir), &st)
 	if err != nil {
 		return nil, fmt.Errorf("service: load snapshot: %w", err)
 	}
@@ -529,12 +500,7 @@ func recoverDirs(wdir, sdir string, stream wal.StreamID, streamed bool, g *graph
 		rec.WALRecords++
 		return rs.apply(seq, payload)
 	}
-	var end uint64
-	if streamed {
-		end, err = wal.ReplayStream(wdir, stream, from, apply)
-	} else {
-		end, err = wal.Replay(wdir, from, apply)
-	}
+	end, err := wal.Replay(walDir(dataDir), from, apply)
 	if err != nil {
 		return nil, fmt.Errorf("service: replay WAL: %w", err)
 	}
@@ -553,20 +519,14 @@ func recoverDirs(wdir, sdir string, stream wal.StreamID, streamed bool, g *graph
 // opens the WAL for appending. Called from New before the goroutines start.
 func (s *Server) openDurability(cfg Config) error {
 	t0 := time.Now()
-	var rec *Recovered
-	var err error
-	sdir := snapDir(cfg.DataDir)
-	if sh := cfg.shard; sh != nil {
-		// Shard of a ShardedServer: the sharded layer pinned the environment;
-		// recover this shard's stream + snapshot dir against the region graph.
-		sdir = shardSnapDir(cfg.DataDir, sh.index)
-		rec, err = RecoverShard(cfg.DataDir, sh.index, cfg.Graph)
-	} else {
-		if err := pinEnvironment(cfg.DataDir, cfg.Graph, cfg.Params, cfg.QoS); err != nil {
-			return err
-		}
-		rec, err = Recover(cfg.DataDir, cfg.Graph)
+	// Refuse a sharded layout before pinning writes anything into it.
+	if err := refuseSharded(cfg.DataDir); err != nil {
+		return err
 	}
+	if err := pinEnvironment(cfg.DataDir, cfg.Graph, cfg.Params, cfg.QoS); err != nil {
+		return err
+	}
+	rec, err := Recover(cfg.DataDir, cfg.Graph)
 	if err != nil {
 		return err
 	}
@@ -575,18 +535,12 @@ func (s *Server) openDurability(cfg Config) error {
 	s.expiry = rec.rs.expiry
 	s.nextID.Store(rec.rs.nextID)
 
-	var log *wal.Log
-	if sh := cfg.shard; sh != nil {
-		log, err = wal.CreateStream(walDir(cfg.DataDir), wal.StreamID(sh.index), rec.NextSeq, wal.Options{NoSync: cfg.NoSync})
-	} else {
-		log, err = wal.Create(walDir(cfg.DataDir), rec.NextSeq, wal.Options{NoSync: cfg.NoSync})
-	}
+	log, err := wal.Create(walDir(cfg.DataDir), rec.NextSeq, wal.Options{NoSync: cfg.NoSync})
 	if err != nil {
 		return fmt.Errorf("service: open WAL: %w", err)
 	}
 	s.dur = &durability{
 		dir:      cfg.DataDir,
-		snaps:    sdir,
 		log:      log,
 		every:    uint64(cfg.SnapshotEvery),
 		interval: cfg.SnapshotInterval,

@@ -32,21 +32,6 @@ type errorBody struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// plane is what the HTTP API serves: a standalone Server or a ShardedServer.
-type plane interface {
-	SubmitTenant(ctx context.Context, tenant string, users []graph.NodeID, ttl time.Duration) (SessionInfo, error)
-	Session(id string) (SessionInfo, bool)
-	Delete(id string) error
-	Graph() *graph.Graph
-	// retryAfter is the backoff hint attached to queue-full rejections.
-	retryAfter() time.Duration
-	// metricsDoc is the GET /metrics document.
-	metricsDoc() any
-	// healthErr is ErrClosed while draining, ErrDurability after a failed
-	// WAL append, nil while serving.
-	healthErr() error
-}
-
 // Handler returns the daemon's HTTP API:
 //
 //	POST   /sessions        admit a session   → 201, 400, 409, 429, 503, 504
@@ -55,23 +40,7 @@ type plane interface {
 //	GET    /metrics         counters + shared admission summary
 //	GET    /topology        the served graph as JSON
 //	GET    /healthz         200 while serving, 503 while draining
-func (s *Server) Handler() http.Handler { return newMux(s) }
-
-func (s *Server) retryAfter() time.Duration { return s.cfg.RetryAfter }
-func (s *Server) metricsDoc() any           { return s.Metrics() }
-
-func (s *Server) healthErr() error {
-	if s.closing.Load() {
-		return ErrClosed
-	}
-	if s.dur != nil && s.dur.failed.Load() {
-		return ErrDurability
-	}
-	return nil
-}
-
-// newMux registers the API routes shared by every plane.
-func newMux(p plane) *http.ServeMux {
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req SessionRequest
@@ -90,15 +59,15 @@ func newMux(p plane) *http.ServeMux {
 		if req.TTLMs <= math.MaxInt64/int64(time.Millisecond) {
 			ttl = time.Duration(req.TTLMs) * time.Millisecond
 		}
-		info, err := p.SubmitTenant(r.Context(), req.Tenant, req.Users, ttl)
+		info, err := s.SubmitTenant(r.Context(), req.Tenant, req.Users, ttl)
 		if err != nil {
-			writeSubmitError(w, p.retryAfter(), err)
+			writeSubmitError(w, s.cfg.RetryAfter, err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, info)
 	})
 	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		info, ok := p.Session(r.PathValue("id"))
+		info, ok := s.Session(r.PathValue("id"))
 		if !ok {
 			writeError(w, http.StatusNotFound, "not_found", "no such session")
 			return
@@ -106,27 +75,27 @@ func newMux(p plane) *http.ServeMux {
 		writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if err := p.Delete(r.PathValue("id")); err != nil {
+		if err := s.Delete(r.PathValue("id")); err != nil {
 			writeError(w, http.StatusNotFound, "not_found", err.Error())
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, p.metricsDoc())
+		writeJSON(w, http.StatusOK, s.Metrics())
 	})
 	mux.HandleFunc("GET /topology", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = p.Graph().WriteJSON(w)
+		_ = s.Graph().WriteJSON(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		switch err := p.healthErr(); {
-		case errors.Is(err, ErrClosed):
+		switch {
+		case s.closing.Load():
 			writeError(w, http.StatusServiceUnavailable, "shutting_down", "")
-		case err != nil:
+		case s.dur != nil && s.dur.failed.Load():
 			// A WAL append failed: in-memory state is fine but can no longer
 			// be promised across a crash. Operators should replace the node.
-			writeError(w, http.StatusServiceUnavailable, "durability_failed", err.Error())
+			writeError(w, http.StatusServiceUnavailable, "durability_failed", ErrDurability.Error())
 		default:
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			fmt.Fprintln(w, "ok")

@@ -82,7 +82,7 @@ type HistogramSnapshot struct {
 }
 
 // counters are the daemon's monotonic event counts, updated atomically from
-// the HTTP handlers, the serve loop and the cross-region router.
+// the HTTP handlers and the serve loop.
 type counters struct {
 	requests        atomic.Int64 // admission requests received (HTTP or Submit)
 	queueFull       atomic.Int64 // requests bounced with 429
@@ -178,8 +178,7 @@ type Metrics struct {
 	// Deprecated: kept only because the perfbench module still reads it.
 	FootprintPool *FootprintPoolMetrics `json:"footprint_pool,omitempty"`
 	// Tenants is the per-tenant SLO section (qosplane.go); nil without a
-	// tenant policy (Config.QoS). In the sharded plane it is aggregated
-	// across shards.
+	// tenant policy (Config.QoS).
 	Tenants []TenantMetrics `json:"tenants,omitempty"`
 }
 

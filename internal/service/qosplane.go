@@ -15,8 +15,8 @@ import (
 // (DESIGN.md §11). The qos.Scheduler — per-tenant bounded sub-queues drained
 // strict-priority-first with deficit-weighted round-robin — is the one
 // admission queue: the serve loop dequeues in its order and decides
-// micro-batches serially, so solving, the ledger, durability and sharding
-// are tenant-blind. A shared token-bucket limiter throttles over-rate
+// micro-batches serially, so solving, the ledger and durability are
+// tenant-blind. A shared token-bucket limiter throttles over-rate
 // tenants at Submit time (HTTP 429 + Retry-After), before anything is
 // queued.
 //
@@ -67,8 +67,8 @@ func (s *Server) wireTenant(name string) string {
 
 // tenantStat is one tenant's SLO accounting: outcome counters plus the
 // admission-latency histogram (enqueue to decision, wall clock). All fields
-// are atomic — stats are written from Submit, the serve loop and the
-// cross-region router concurrently.
+// are atomic — stats are written from Submit and the serve loop
+// concurrently.
 type tenantStat struct {
 	spec qos.TenantSpec
 
@@ -162,9 +162,8 @@ func (s *Server) dequeue() (*pending, bool) {
 	return item.(*pending), true
 }
 
-// wakeAdmission signals the serve loop that an item was enqueued, or that a
-// cross-region install added a session it must arm its expiry timer for.
-// The channel is sticky (capacity 1): a signal is never lost, and the loop
+// wakeAdmission signals the serve loop that an item was enqueued. The
+// channel is sticky (capacity 1): a signal is never lost, and the loop
 // drains the queue until empty and re-arms per wakeup, so coalesced signals
 // are fine.
 func (s *Server) wakeAdmission() {
@@ -235,47 +234,5 @@ func (s *Server) tenantMetrics() []TenantMetrics {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// aggregateTenants merges per-shard tenant sections by tenant ID: counters
-// and queue depths sum, latency histograms merge, class fields are shared
-// (every shard was built from the same normalized config).
-func aggregateTenants(shards []Metrics) []TenantMetrics {
-	byID := make(map[string]*TenantMetrics)
-	var order []string
-	for _, m := range shards {
-		for _, tm := range m.Tenants {
-			agg, ok := byID[tm.ID]
-			if !ok {
-				cp := tm
-				cp.AdmissionLatency = HistogramSnapshot{}
-				cp.QueueDepth, cp.QueueCapacity = 0, 0
-				cp.Accepted, cp.Rejected, cp.Throttled = 0, 0, 0
-				cp.QueueFull, cp.Canceled, cp.Failed, cp.TTLClamped = 0, 0, 0, 0
-				agg = &cp
-				byID[tm.ID] = agg
-				order = append(order, tm.ID)
-			}
-			agg.QueueDepth += tm.QueueDepth
-			agg.QueueCapacity += tm.QueueCapacity
-			agg.Accepted += tm.Accepted
-			agg.Rejected += tm.Rejected
-			agg.Throttled += tm.Throttled
-			agg.QueueFull += tm.QueueFull
-			agg.Canceled += tm.Canceled
-			agg.Failed += tm.Failed
-			agg.TTLClamped += tm.TTLClamped
-			agg.AdmissionLatency = mergeHistograms(agg.AdmissionLatency, tm.AdmissionLatency)
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	sort.Strings(order)
-	out := make([]TenantMetrics, len(order))
-	for i, id := range order {
-		out[i] = *byID[id]
-	}
 	return out
 }

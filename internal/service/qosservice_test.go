@@ -199,11 +199,10 @@ func TestQoSPerTenantQueueBound(t *testing.T) {
 	}
 }
 
-// TestQoSShardedDifferential replays one trace through the sharded plane
-// with and without a single-default-tenant policy: the policy must be
-// semantically invisible at every shard count, and the aggregated tenant
-// section must account every decision.
-func TestQoSShardedDifferential(t *testing.T) {
+// TestQoSDifferential replays one trace through a server with and without a
+// single-default-tenant policy: the policy must be semantically invisible,
+// and the tenant section must account every decision.
+func TestQoSDifferential(t *testing.T) {
 	g := clusterGraph(t, 4, 4, 4, 4)
 	w := sched.Workload{Requests: 120, MeanInterarrival: 1, MeanHold: 6, MinUsers: 2, MaxUsers: 3}
 	requests, err := w.Generate(g, rand.New(rand.NewSource(11)))
@@ -230,42 +229,30 @@ func TestQoSShardedDifferential(t *testing.T) {
 		}
 		return c
 	}
-	for _, k := range []int{1, 2} {
-		refClock := newFakeClock(base)
-		ref, err := NewSharded(ShardedConfig{Config: mkConfig(refClock, false), Shards: k, PartitionSeed: 7})
-		if err != nil {
-			t.Fatalf("k=%d: NewSharded: %v", k, err)
-		}
-		want := replayTrace(t, ref, refClock, base, requests)
-		_ = ref.Close()
+	refClock := newFakeClock(base)
+	ref := newTestServer(t, mkConfig(refClock, false))
+	want := replayTrace(t, ref, refClock, base, requests)
 
-		fc := newFakeClock(base)
-		s, err := NewSharded(ShardedConfig{Config: mkConfig(fc, true), Shards: k, PartitionSeed: 7})
-		if err != nil {
-			t.Fatalf("k=%d: NewSharded qos: %v", k, err)
+	fc := newFakeClock(base)
+	s := newTestServer(t, mkConfig(fc, true))
+	got := replayTrace(t, s, fc, base, requests)
+	for i := range want {
+		if got[i].accepted != want[i].accepted {
+			t.Fatalf("request %d qos accepted=%v, plain accepted=%v",
+				requests[i].ID, got[i].accepted, want[i].accepted)
 		}
-		got := replayTrace(t, s, fc, base, requests)
-		for i := range want {
-			if got[i].accepted != want[i].accepted {
-				t.Fatalf("k=%d: request %d qos accepted=%v, plain accepted=%v",
-					k, requests[i].ID, got[i].accepted, want[i].accepted)
-			}
-			if math.Abs(got[i].rate-want[i].rate) > 1e-15*math.Max(1, math.Abs(want[i].rate)) {
-				t.Fatalf("k=%d: request %d rate %g vs %g", k, requests[i].ID, got[i].rate, want[i].rate)
-			}
+		if math.Abs(got[i].rate-want[i].rate) > 1e-15*math.Max(1, math.Abs(want[i].rate)) {
+			t.Fatalf("request %d rate %g vs %g", requests[i].ID, got[i].rate, want[i].rate)
 		}
-		m := s.Metrics()
-		def := findTenant(t, m.Tenants, qos.DefaultTenant)
-		if def.Accepted != m.Requests.Accepted || def.Rejected != m.Requests.Rejected {
-			t.Fatalf("k=%d: aggregated default tenant %+v vs requests %+v", k, def, m.Requests)
-		}
-		if def.AdmissionLatency.Count != def.Accepted+def.Rejected {
-			t.Fatalf("k=%d: tenant latency count %d, want %d decisions",
-				k, def.AdmissionLatency.Count, def.Accepted+def.Rejected)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("k=%d: Close: %v", k, err)
-		}
+	}
+	m := s.Metrics()
+	def := findTenant(t, m.Tenants, qos.DefaultTenant)
+	if def.Accepted != m.Requests.Accepted || def.Rejected != m.Requests.Rejected {
+		t.Fatalf("default tenant %+v vs requests %+v", def, m.Requests)
+	}
+	if def.AdmissionLatency.Count != def.Accepted+def.Rejected {
+		t.Fatalf("tenant latency count %d, want %d decisions",
+			def.AdmissionLatency.Count, def.Accepted+def.Rejected)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -490,5 +491,51 @@ func TestRecoveryRejectsForeignTopology(t *testing.T) {
 	other.SetQubits(4, 6) // same shape, different capacity
 	if _, err := New(Config{Graph: other, DataDir: dir, Clock: fc}); err == nil {
 		t.Fatal("New accepted a data directory pinned to a different topology")
+	}
+}
+
+// TestRefusesShardedDataDir plants each marker a sharded data directory
+// carries — a pinned partition.json, a per-shard WAL stream segment, a
+// per-shard snapshot directory — into a data directory. Booting a Server on
+// it and recovering it offline must both fail with an error naming the
+// marker, rather than skipping the shard files and coming up with an empty
+// ledger.
+func TestRefusesShardedDataDir(t *testing.T) {
+	markers := []struct {
+		name  string
+		plant func(dir string) error
+	}{
+		{"partition.json", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "partition.json"), []byte(`{"k":2}`), 0o644)
+		}},
+		{"wal-s00000001-0000000000000000.log", func(dir string) error {
+			if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, "wal", "wal-s00000001-0000000000000000.log"),
+				[]byte("MUWALv2\n\x01\x00\x00\x00"), 0o644)
+		}},
+		{filepath.Join("snap", "s00"), func(dir string) error {
+			return os.MkdirAll(filepath.Join(dir, "snap", "s00"), 0o755)
+		}},
+	}
+	g := bottleneck(t)
+	for _, m := range markers {
+		dir := t.TempDir()
+		if err := m.plant(dir); err != nil {
+			t.Fatalf("%s: plant: %v", m.name, err)
+		}
+		s, err := New(Config{Graph: g, DataDir: dir})
+		if err == nil {
+			n := s.ActiveSessions()
+			_ = s.Close()
+			t.Fatalf("%s: New booted a sharded data directory with %d sessions", m.name, n)
+		}
+		if !strings.Contains(err.Error(), m.name) {
+			t.Errorf("%s: New error %q does not name the marker", m.name, err)
+		}
+		if _, err := Recover(dir, g); err == nil || !strings.Contains(err.Error(), m.name) {
+			t.Errorf("%s: Recover error %v does not name the marker", m.name, err)
+		}
 	}
 }

@@ -28,13 +28,11 @@
 // their tree's switch qubits until their TTL expires or they are deleted.
 // Deciding each request against the capacity held at its admission instant
 // is what makes the daemon's admission decisions match the offline
-// simulator trace for trace (pinned by the differential test). Parallelism
-// comes from sharding (sharded.go): each region shard runs its own serve
-// loop.
+// simulator trace for trace (pinned by the differential test).
 //
 // Concurrency: the ledger, session table and expiry heap are guarded by
-// one mutex, taken by the serve loop, by DELETE and, on a sharded plane, by
-// the cross-region coordinator (the contract documented on quantum.Ledger).
+// one mutex, taken by the serve loop and by DELETE (the contract documented
+// on quantum.Ledger).
 // Counters and the latency histogram are atomic and lock-free.
 package service
 
@@ -87,8 +85,7 @@ type Config struct {
 	//
 	// Deprecated: kept only because the perfbench module still sets it.
 	MaxWait time.Duration
-	// Workers is ignored: every micro-batch is decided serially, and
-	// parallelism comes from sharding.
+	// Workers is ignored: every micro-batch is decided serially.
 	//
 	// Deprecated: kept only because the perfbench module still sets it.
 	Workers int
@@ -127,23 +124,6 @@ type Config struct {
 	// NoSync skips WAL fsyncs — only for benchmarks measuring the
 	// non-durable baseline; a crash can then lose acknowledged records.
 	NoSync bool
-
-	// shard marks this Server as one shard of a ShardedServer (sharded.go):
-	// session IDs take the "s<shard>-<n>" form, and the durability layer
-	// writes the shard's own WAL stream and snapshot directory inside the
-	// shared DataDir instead of pinning the environment itself (the sharded
-	// layer pins the full topology, params and partition once).
-	shard *shardEnv
-	// qosLimiter, when set, is the token-bucket limiter this Server shares
-	// with its siblings: a ShardedServer creates one limiter and hands it to
-	// every shard so tenant quotas are global rather than multiplied by the
-	// shard count. Nil (standalone) means New builds the Server's own.
-	qosLimiter *qos.Limiter
-}
-
-// shardEnv carries a shard Server's identity within a ShardedServer.
-type shardEnv struct {
-	index int
 }
 
 func (c Config) withDefaults() Config {
@@ -207,15 +187,6 @@ type session struct {
 	tree      quantum.Tree
 	expiresAt time.Time
 	heapIdx   int
-
-	// Cross-region sessions (sharded.go) hold per-switch load slices instead
-	// of whole trees on each involved shard: load is this shard's slice,
-	// shards the ascending list of involved shard indices (nil for ordinary
-	// single-shard sessions), and secondary marks the copies living on every
-	// involved shard other than the session's home.
-	load      []quantum.LoadEntry
-	shards    []int
-	secondary bool
 }
 
 // expiryHeap is a min-heap of live sessions by expiry time — the timer
@@ -275,7 +246,7 @@ type Server struct {
 
 	// The admission queue and its tenant policy (qosplane.go).
 	queue  *qos.Scheduler // per-tenant bounded sub-queues, DWRR dequeue
-	qlim   *qos.Limiter   // token-bucket quotas (shared across shards)
+	qlim   *qos.Limiter   // token-bucket quotas
 	tstats *tenantTable   // per-tenant SLO accounting
 
 	closing   atomic.Bool
@@ -291,10 +262,9 @@ type Server struct {
 	sumRate  float64         // sum of accepted session rates
 	peak     int             // high-water mark of reserved qubits
 
-	nextID   atomic.Uint64
-	idPrefix string // "s-" standalone, "s<shard>-" inside a ShardedServer
-	ctrs     counters
-	lat      *histogram
+	nextID atomic.Uint64
+	ctrs   counters
+	lat    *histogram
 
 	// dur is the durability runtime (WAL + snapshots); nil without DataDir.
 	dur *durability
@@ -328,21 +298,14 @@ func New(cfg Config) (*Server, error) {
 		quit:     make(chan struct{}),
 		arrive:   make(chan struct{}, 1),
 		lat:      newHistogram(),
-		idPrefix: "s-",
 	}
 	policy, err := cfg.tenantPolicy()
 	if err != nil {
 		return nil, err
 	}
 	s.queue = qos.NewScheduler(policy, cfg.QueueSize)
-	s.qlim = cfg.qosLimiter
-	if s.qlim == nil {
-		s.qlim = qos.NewLimiter(policy)
-	}
+	s.qlim = qos.NewLimiter(policy)
 	s.tstats = newTenantTable(policy)
-	if cfg.shard != nil {
-		s.idPrefix = fmt.Sprintf("s%d-", cfg.shard.index)
-	}
 	for _, id := range cfg.Graph.Switches() {
 		s.total += cfg.Graph.Node(id).Qubits
 	}
@@ -472,48 +435,6 @@ func (s *Server) ActiveSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.sessions)
-}
-
-// sessionCounts returns the live session count and, of those, how many are
-// secondary copies of cross-region sessions homed on another shard.
-func (s *Server) sessionCounts() (active, secondary int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sess := range s.sessions {
-		if sess.secondary {
-			secondary++
-		}
-	}
-	return len(s.sessions), secondary
-}
-
-// sessionShards returns a cross-region session's involved-shard list (nil
-// for ordinary sessions); ShardedServer.Delete fans releases out over it.
-func (s *Server) sessionShards(id string) ([]int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		return nil, false
-	}
-	return sess.shards, true
-}
-
-// deleteQuiet releases a session like Delete but without the deleted
-// counter, and treats an already-gone session as success — the shape a
-// cross-region fan-out needs on secondary shards, whose copies the home
-// shard's delete does not own and whose expiry wheel may race the fan-out.
-func (s *Server) deleteQuiet(id string) error {
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil
-	}
-	s.releaseLocked(sess, releasedDeleted, s.clock.Now())
-	ticket := s.enqueueRecordsLocked()
-	s.mu.Unlock()
-	return s.waitDurable(ticket)
 }
 
 // Close stops accepting new requests, drains everything already queued
@@ -647,7 +568,7 @@ func (s *Server) admitOneLocked(now time.Time, p *pending) (SessionInfo, error) 
 		}
 		return SessionInfo{}, err
 	}
-	id := fmt.Sprintf("%s%d", s.idPrefix, s.nextID.Add(1))
+	id := fmt.Sprintf("s-%d", s.nextID.Add(1))
 	sess := &session{
 		info: SessionInfo{
 			ID:         id,
@@ -685,11 +606,7 @@ func (s *Server) expireLocked(now time.Time) {
 			return
 		}
 		s.releaseLocked(next, releasedExpired, now)
-		// A cross-region session expires on every involved shard; only its
-		// home shard counts it, so aggregated counters stay session-accurate.
-		if !next.secondary {
-			s.ctrs.expired.Add(1)
-		}
+		s.ctrs.expired.Add(1)
 	}
 }
 
@@ -699,17 +616,11 @@ const (
 	releasedDeleted = "deleted"
 )
 
-// releaseLocked refunds a session's reservations — the whole tree for
-// ordinary sessions, this shard's load slice for cross-region ones — drops
-// it from the table, removes its expiry-heap entry eagerly, and stages the
-// WAL record.
+// releaseLocked refunds a session's tree, drops it from the table, removes
+// its expiry-heap entry eagerly, and stages the WAL record.
 func (s *Server) releaseLocked(sess *session, reason string, now time.Time) {
 	heap.Remove(&s.expiry, sess.heapIdx)
-	if sess.shards != nil {
-		s.led.ReleaseLoad(sess.load)
-	} else {
-		core.ReleaseTree(s.led, sess.tree)
-	}
+	core.ReleaseTree(s.led, sess.tree)
 	delete(s.sessions, sess.info.ID)
 	s.appendRecordLocked(walRecord{T: recRelease, Release: &releaseRecord{
 		ID:     sess.info.ID,

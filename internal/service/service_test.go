@@ -20,6 +20,7 @@ import (
 	"github.com/muerp/quantumnet/internal/graph"
 	"github.com/muerp/quantumnet/internal/qos"
 	"github.com/muerp/quantumnet/internal/quantum"
+	"github.com/muerp/quantumnet/internal/sched"
 	"github.com/muerp/quantumnet/internal/topology"
 )
 
@@ -50,6 +51,73 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	return s
+}
+
+// clusterGraph builds c fully disconnected clusters, each a chain of
+// switchesPer switches (qubits each) with usersPer users attached round-
+// robin. Sessions cannot route between clusters, so a session spanning
+// two clusters is always infeasible.
+func clusterGraph(t testing.TB, c, switchesPer, usersPer, qubits int) *graph.Graph {
+	t.Helper()
+	g := graph.New(0, 0)
+	for ci := 0; ci < c; ci++ {
+		var users, sws []graph.NodeID
+		for i := 0; i < usersPer; i++ {
+			users = append(users, g.AddUser(float64(ci*1000+i), 0))
+		}
+		for i := 0; i < switchesPer; i++ {
+			sws = append(sws, g.AddSwitch(float64(ci*1000+i), 100, qubits))
+		}
+		for i := 1; i < len(sws); i++ {
+			g.MustAddEdge(sws[i-1], sws[i], 100)
+		}
+		for i, u := range users {
+			g.MustAddEdge(u, sws[i%len(sws)], 100)
+		}
+	}
+	return g
+}
+
+// bridgedClusters is clusterGraph with consecutive clusters joined by one
+// bridge edge each: a connected topology on which sessions spanning two
+// clusters are feasible.
+func bridgedClusters(t testing.TB, c, switchesPer, usersPer, qubits int) *graph.Graph {
+	t.Helper()
+	g := clusterGraph(t, c, switchesPer, usersPer, qubits)
+	// Switch IDs inside one cluster are contiguous; bridge the last switch
+	// of each cluster to the first of the next.
+	perCluster := len(g.Switches()) / c
+	sws := g.Switches()
+	for ci := 1; ci < c; ci++ {
+		g.MustAddEdge(sws[ci*perCluster-1], sws[ci*perCluster], 100)
+	}
+	return g
+}
+
+// traceOutcome is one request's decision in a replayed trace.
+type traceOutcome struct {
+	accepted bool
+	rate     float64
+}
+
+// replayTrace replays one request trace through a server on a fake clock
+// and records each decision.
+func replayTrace(t *testing.T, s *Server, fc *fakeClock, base time.Time, requests []sched.Request) []traceOutcome {
+	t.Helper()
+	out := make([]traceOutcome, len(requests))
+	for i, req := range requests {
+		fc.Set(base.Add(seconds(req.Arrival)))
+		info, err := s.Submit(context.Background(), req.Users, seconds(req.Hold))
+		switch {
+		case err == nil:
+			out[i] = traceOutcome{accepted: true, rate: info.Rate}
+		case errors.Is(err, core.ErrInfeasible):
+			out[i] = traceOutcome{}
+		default:
+			t.Fatalf("request %d: %v", req.ID, err)
+		}
+	}
+	return out
 }
 
 func postSession(t *testing.T, client *http.Client, base string, users []int, ttlMs int64) *http.Response {
@@ -231,37 +299,22 @@ func TestHTTPValidation(t *testing.T) {
 // TestHTTPTTLSaturates posts ttl_ms values at and past the largest
 // millisecond count a time.Duration holds. Each must be admitted with the
 // server's MaxTTL: a wrapped conversion would instead hand out the default
-// TTL (negative wrap) or a sub-millisecond lifetime. The sharded plane
-// clamps the same way on both its single-region and cross-region paths.
+// TTL (negative wrap) or a sub-millisecond lifetime. Sessions within one
+// cluster and across the bridge clamp alike.
 func TestHTTPTTLSaturates(t *testing.T) {
 	const maxTTL = time.Minute
 	g := bridgedClusters(t, 2, 4, 4, 8)
-	cfg := Config{Graph: g, DefaultTTL: time.Second, MaxTTL: maxTTL}
-	single, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer func() { _ = single.Close() }()
-	sharded, err := NewSharded(ShardedConfig{Config: cfg, Shards: 2, PartitionSeed: 3})
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	defer func() { _ = sharded.Close() }()
-	byRegion := regionUsers(t, g, sharded.Partition())
-	local := []int{int(byRegion[0][0]), int(byRegion[0][1])}
-	cross := []int{int(byRegion[0][0]), int(byRegion[1][0])}
-
-	planes := []struct {
-		name    string
-		handler http.Handler
-		users   []int
+	s := newTestServer(t, Config{Graph: g, DefaultTTL: time.Second, MaxTTL: maxTTL})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Users 0-3 sit on the first cluster, 8-11 on the second.
+	for _, p := range []struct {
+		name  string
+		users []int
 	}{
-		{"server", single.Handler(), local},
-		{"sharded-single-region", sharded.Handler(), local},
-		{"sharded-cross-region", sharded.Handler(), cross},
-	}
-	for _, p := range planes {
-		ts := httptest.NewServer(p.handler)
+		{"one-cluster", []int{0, 1}},
+		{"bridged", []int{0, 8}},
+	} {
 		for _, ttlMs := range []int64{
 			9223372036854,       // the largest ttl_ms a Duration holds
 			9223372036855,       // wrapped to a negative Duration before saturation
@@ -284,7 +337,6 @@ func TestHTTPTTLSaturates(t *testing.T) {
 			}
 			_ = dresp.Body.Close()
 		}
-		ts.Close()
 	}
 }
 

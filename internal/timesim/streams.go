@@ -25,6 +25,12 @@ func seedStream(seed int64, i int64) *rand.Rand {
 // sessionSeed reserves streams 16+ for sessions.
 func sessionSeed(seed int64, id int) int64 { return streamSeed(seed, 16+int64(id)) }
 
+// liveHelpers counts look-ahead helpers that have started and not yet
+// exited. A helper leaves the count before it closes exited, so once stop
+// returns the count no longer includes that helper; the tests read it to
+// check that every Run return stops its helper.
+var liveHelpers atomic.Int64
+
 // seedAheadWindow is how many requests past the coordinator's position the
 // look-ahead helper may seed.
 const seedAheadWindow = 8
@@ -89,6 +95,7 @@ func newStreams(seed int64, reqs []sched.Request, helper bool) *streams {
 		st.free = make(chan *rand.Rand, 2*seedAheadWindow)
 		st.done = make(chan struct{})
 		st.exited = make(chan struct{})
+		liveHelpers.Add(1)
 		go st.seedAhead()
 	}
 	return st
@@ -173,7 +180,10 @@ func (st *streams) advance() {
 // offer order, parking while it is seedAheadWindow past the coordinator,
 // and skips every slot the coordinator claimed first.
 func (st *streams) seedAhead() {
-	defer close(st.exited)
+	defer func() {
+		liveHelpers.Add(-1)
+		close(st.exited)
+	}()
 	for j := range st.slots {
 		for int64(j) >= st.pos.Load()+seedAheadWindow {
 			select {

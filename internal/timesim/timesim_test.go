@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"github.com/muerp/quantumnet/internal/core"
@@ -399,12 +398,11 @@ func TestHelperExitsOnEveryReturn(t *testing.T) {
 			return nil
 		},
 	} {
-		before := runtime.NumGoroutine()
 		if err := run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Errorf("%s: %d goroutines before Run, %d after", name, before, after)
+		if n := liveHelpers.Load(); n != 0 {
+			t.Errorf("%s: %d look-ahead helpers still running after Run returned", name, n)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,15 +72,6 @@ func Replay(dir string, from uint64, fn func(seq uint64, payload []byte) error) 
 	if err != nil {
 		return 0, err
 	}
-	return replaySegs(segs, Scan, from, fn)
-}
-
-// replaySegs is the shared replay loop behind Replay and ReplayStream: it
-// walks the given segments in order with the given scanner (which validates
-// the appropriate header) and applies the torn-tail policy documented on
-// Replay.
-func replaySegs(segs []segment, scanner func(io.Reader, func([]byte) error) (int, int64, error),
-	from uint64, fn func(seq uint64, payload []byte) error) (uint64, error) {
 	if len(segs) == 0 {
 		return 0, nil
 	}
@@ -99,7 +89,7 @@ func replaySegs(segs []segment, scanner func(io.Reader, func([]byte) error) (int
 		if err != nil {
 			return 0, err
 		}
-		_, _, scanErr := scanner(f, func(payload []byte) error {
+		_, _, scanErr := Scan(f, func(payload []byte) error {
 			var err error
 			if seq >= from && fn != nil {
 				err = fn(seq, payload)
@@ -180,16 +170,9 @@ func doneTicket(err error) *Ticket {
 // a single group-commit goroutine. Create it with Create; appenders call
 // Enqueue (ordered, non-blocking) and Wait on the returned ticket, or
 // Append to do both.
-//
-// A log created by CreateStream additionally carries a stream identity:
-// its segments use the v2 header (magic + stream id) and stream-qualified
-// filenames, so several independent streams — one per admission shard —
-// share a directory without seeing each other's segments.
 type Log struct {
-	dir      string
-	opts     Options
-	stream   StreamID
-	streamed bool
+	dir  string
+	opts Options
 
 	mu      sync.Mutex
 	pending []pend
@@ -252,12 +235,12 @@ func Create(dir string, start uint64, opts Options) (*Log, error) {
 // writes its header durably. Truncation is safe: Create and rotation only
 // ever open a segment name whose records do not exist yet.
 func (l *Log) newSegment(seq uint64) (*os.File, error) {
-	path := l.segPath(seq)
+	path := segmentPath(l.dir, seq)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(l.header()); err != nil {
+	if _, err := f.Write([]byte(headerMagic)); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
@@ -458,7 +441,7 @@ func (l *Log) Compact(upTo uint64) (uint64, error) {
 	if res.err != nil {
 		return 0, res.err
 	}
-	segs, err := l.listOwn()
+	segs, err := listSegments(l.dir)
 	if err != nil {
 		return res.boundary, err
 	}
@@ -494,32 +477,6 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
-}
-
-// segPath returns the segment filename for this log's stream (if any).
-func (l *Log) segPath(start uint64) string {
-	if l.streamed {
-		return streamSegmentPath(l.dir, l.stream, start)
-	}
-	return segmentPath(l.dir, start)
-}
-
-// header returns the segment header this log writes: plain v1, or v2 with
-// the stream id.
-func (l *Log) header() []byte {
-	if l.streamed {
-		return streamHeader(l.stream)
-	}
-	return []byte(headerMagic)
-}
-
-// listOwn lists only this log's segments: its stream's when streamed, the
-// directory's unqualified v1 segments otherwise.
-func (l *Log) listOwn() ([]segment, error) {
-	if l.streamed {
-		return listStreamSegments(l.dir, l.stream)
-	}
-	return listSegments(l.dir)
 }
 
 // syncDir fsyncs a directory so a freshly created file's directory entry is

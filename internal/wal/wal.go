@@ -102,13 +102,7 @@ func Scan(r io.Reader, fn func(payload []byte) error) (records int, valid int64,
 	if string(hdr[:]) != headerMagic {
 		return 0, 0, &CorruptError{Offset: 0, Reason: "bad magic"}
 	}
-	return scanFrames(r, int64(HeaderSize), fn)
-}
-
-// scanFrames reads frames from r after a validated header of the given byte
-// length, implementing the shared frame loop behind Scan and ScanStream.
-func scanFrames(r io.Reader, headerLen int64, fn func(payload []byte) error) (records int, valid int64, err error) {
-	valid = headerLen
+	valid = int64(HeaderSize)
 	var frame [frameOverhead]byte
 	for {
 		n, err := io.ReadFull(r, frame[:])

@@ -8,14 +8,12 @@
 # Environment knobs:
 #   SESSIONS  number of replayed sessions   (default 60)
 #   UNIT      real duration of one workload time unit (default 5ms)
-#   SHARDS    admission shards              (default 1)
 #   GO        go binary                     (default go)
 set -euo pipefail
 
 GO=${GO:-go}
 SESSIONS=${SESSIONS:-60}
 UNIT=${UNIT:-5ms}
-SHARDS=${SHARDS:-1}
 
 workdir=$(mktemp -d)
 daemon_pid=""
@@ -40,9 +38,9 @@ cat >"$workdir/tenants.json" <<'EOF'
 ]}
 EOF
 
-echo "smoke-qos: starting muerpd with a two-tenant policy (shards=$SHARDS)"
+echo "smoke-qos: starting muerpd with a two-tenant policy"
 "$workdir/muerpd" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
-  -users 8 -switches 16 -qubits 8 -ttl 2s -shards "$SHARDS" \
+  -users 8 -switches 16 -qubits 8 -ttl 2s \
   -qos-config "$workdir/tenants.json" \
   >"$workdir/muerpd.log" 2>&1 &
 daemon_pid=$!

@@ -7,14 +7,11 @@
 #
 # Environment knobs:
 #   TARGET    sessions to admit before the crash (default 20)
-#   SHARDS    admission shards (default 1; >1 exercises per-shard WAL
-#             streams and cross-region commits across the crash)
 #   GO        go binary                          (default go)
 set -euo pipefail
 
 GO=${GO:-go}
 TARGET=${TARGET:-20}
-SHARDS=${SHARDS:-1}
 
 command -v jq >/dev/null || { echo "smoke-recovery: jq is required" >&2; exit 1; }
 
@@ -30,13 +27,7 @@ trap cleanup EXIT
 
 # The same topology flags on every boot: recovery refuses to replay a WAL
 # against a different network (the pinned topology check).
-# -partition-seed 3 splits this topology's users evenly across two regions
-# (so a sharded run admits genuinely cross-region sessions); the partition
-# is pinned in the data directory and must match on every boot.
 topo_flags=(-users 10 -switches 30 -seed 3 -qubits 4)
-if (( SHARDS > 1 )); then
-  topo_flags+=(-shards "$SHARDS" -partition-seed 3)
-fi
 data_dir="$workdir/data"
 
 start_daemon() {
@@ -156,11 +147,5 @@ daemon_pid=""
 
 echo "smoke-recovery: offline qrecover verification"
 "$workdir/qrecover" -data-dir "$data_dir" | tee "$workdir/qrecover.out"
-if (( SHARDS > 1 )); then
-  grep -q "partition: $SHARDS regions" "$workdir/qrecover.out" || {
-    echo "smoke-recovery: qrecover did not detect the $SHARDS-region layout" >&2
-    exit 1
-  }
-fi
 
 echo "smoke-recovery: OK"

@@ -6,15 +6,12 @@
 # Environment knobs:
 #   SESSIONS  number of replayed sessions   (default 50)
 #   UNIT      real duration of one workload time unit (default 5ms)
-#   SHARDS    admission shards              (default 1; >1 partitions the
-#             topology and routes through the sharded admission plane)
 #   GO        go binary                     (default go)
 set -euo pipefail
 
 GO=${GO:-go}
 SESSIONS=${SESSIONS:-50}
 UNIT=${UNIT:-5ms}
-SHARDS=${SHARDS:-1}
 
 workdir=$(mktemp -d)
 daemon_pid=""
@@ -30,9 +27,9 @@ echo "smoke: building muerpd and qload"
 "$GO" build -o "$workdir/muerpd" ./cmd/muerpd
 "$GO" build -o "$workdir/qload" ./cmd/qload
 
-echo "smoke: starting muerpd on a random port (shards=$SHARDS)"
+echo "smoke: starting muerpd on a random port"
 "$workdir/muerpd" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
-  -users 8 -switches 16 -ttl 2s -shards "$SHARDS" \
+  -users 8 -switches 16 -ttl 2s \
   >"$workdir/muerpd.log" 2>&1 &
 daemon_pid=$!
 
@@ -57,21 +54,7 @@ fi
 echo "smoke: daemon at $addr"
 
 # The load driver itself gates on at least one accepted session.
-qload_out="$workdir/qload.out"
-"$workdir/qload" -addr "$addr" -sessions "$SESSIONS" -unit "$UNIT" -min-accepted 1 \
-  | tee "$qload_out"
-# Against a sharded daemon, qload must detect the partition and print both
-# the per-shard breakdown and the router's counters.
-if [[ "$SHARDS" -gt 1 ]]; then
-  grep -q "^shard breakdown " "$qload_out" || {
-    echo "smoke: shards=$SHARDS but no per-shard breakdown in qload output" >&2
-    exit 1
-  }
-  grep -q "^router: " "$qload_out" || {
-    echo "smoke: shards=$SHARDS but no router counters in qload output" >&2
-    exit 1
-  }
-fi
+"$workdir/qload" -addr "$addr" -sessions "$SESSIONS" -unit "$UNIT" -min-accepted 1
 
 echo "smoke: sending SIGTERM"
 kill -TERM "$daemon_pid"
