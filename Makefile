@@ -4,8 +4,9 @@
 GO ?= go
 BENCH_OUT ?= BENCH_kernel.json
 # The committed baselines bench-check diffs against, one per suite. Both were
-# recorded on 2 vCPU (Intel Xeon, go1.24.0); on another machine record your
-# own with `make bench bench-service BENCH_LABEL=x BENCH_SERVICE_LABEL=y` and
+# recorded on 2 vCPU (Intel Xeon, go1.24.0), five runs per benchmark so the
+# check compares medians on both sides; on another machine record your own
+# with `make bench bench-service BENCH_LABEL=x BENCH_SERVICE_LABEL=y` and
 # check against them with the same variables.
 BENCH_LABEL ?= kernel-2cpu
 BENCH_SERVICE_LABEL ?= service-2cpu
@@ -52,31 +53,31 @@ tier1: build test vet race perfbench-build
 # bench refreshes BENCH_kernel.json's "$(BENCH_LABEL)" run: the channel
 # search kernel + solver microbenches (with allocation counts), the two
 # headline figure benches and one qsim-flash slot-engine job
-# (BenchmarkRunFlash, serial and with the look-ahead seeder). Compare runs
-# with `benchstat` on the raw text outputs left in $(BENCH_TMP). See
-# EXPERIMENTS.md for the protocol.
+# (BenchmarkRunFlash, serial and with the look-ahead seeder), each run five
+# times. Compare runs with `benchstat` on the raw text outputs left in
+# $(BENCH_TMP). See EXPERIMENTS.md for the protocol.
 bench:
 	mkdir -p $(BENCH_TMP)
 	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1ChannelSearch|BenchmarkSolvers' \
-		-benchmem -benchtime 2s . | tee $(BENCH_TMP)/kernel.txt
+		-benchmem -benchtime 2s -count 5 . | tee $(BENCH_TMP)/kernel.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelSearch|BenchmarkConnectUnions' \
-		-benchmem -benchtime 2s ./internal/core | tee $(BENCH_TMP)/engine.txt
+		-benchmem -benchtime 2s -count 5 ./internal/core | tee $(BENCH_TMP)/engine.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Topology|BenchmarkFig6aUsers' \
-		-benchmem -benchtime 2x . | tee $(BENCH_TMP)/figs.txt
+		-benchmem -benchtime 2x -count 5 . | tee $(BENCH_TMP)/figs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRunFlash' \
-		-benchmem -benchtime 20x ./internal/timesim | tee $(BENCH_TMP)/timesim.txt
+		-benchmem -benchtime 20x -count 5 ./internal/timesim | tee $(BENCH_TMP)/timesim.txt
 	$(GO) run ./cmd/benchreport -label $(BENCH_LABEL) -o $(BENCH_OUT) \
 		$(BENCH_TMP)/kernel.txt $(BENCH_TMP)/engine.txt $(BENCH_TMP)/figs.txt \
 		$(BENCH_TMP)/timesim.txt
 
 # bench-service refreshes the "$(BENCH_SERVICE_LABEL)" run: the end-to-end
 # admission loop across batch sizes and durability, and the solve-bound
-# big-workers1 variant. Recorded with -benchmem so the alloc regression
-# gate arms against this run.
+# big-workers1 variant, each run five times. Recorded with -benchmem so the
+# alloc regression gate arms against this run.
 bench-service:
 	mkdir -p $(BENCH_TMP)
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmissionLoop' \
-		-benchmem -benchtime 1s ./internal/service | tee $(BENCH_TMP)/service.txt
+		-benchmem -benchtime 1s -count 5 ./internal/service | tee $(BENCH_TMP)/service.txt
 	$(GO) run ./cmd/benchreport -label $(BENCH_SERVICE_LABEL) -o $(BENCH_OUT) \
 		$(BENCH_TMP)/service.txt
 

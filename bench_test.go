@@ -263,7 +263,7 @@ func BenchmarkDistributedExecution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := transport.NewInMemory()
 		_, err := runtime.Run(ctx, net, g, runtime.Config{
-			Solver: core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext},
+			Solver: core.SolveConflictFreeContext,
 			Params: quantum.DefaultParams(),
 			Rounds: 100,
 			Seed:   int64(i),

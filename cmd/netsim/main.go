@@ -88,16 +88,25 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, g)
 
-	solver, err := pickSolver(*alg, *seed)
+	entry, err := solver.Get(*alg)
 	if err != nil {
 		return err
 	}
-	// The controller calls the solver through runtime.Run, which has no
-	// stats plumbing of its own — so -stats wraps the solver with a sink
-	// that every solve (there may be retries) accumulates into.
+	// runtime.Run calls the solve once and passes it no options, so the
+	// run's options are closed over here: schemes that consume randomness
+	// (Algorithm 4's random start) draw from a stream seeded with the run
+	// seed (seed 0 leaves them deterministic), and -stats collects the
+	// solve's work counters.
+	opts := &core.SolveOptions{}
+	if entry.ConsumesRNG && *seed != 0 {
+		opts.RNG = rand.New(rand.NewSource(*seed))
+	}
 	var work core.SolveStats
 	if *stats {
-		solver = withStatsSink(solver, &work)
+		opts.Stats = &work
+	}
+	solve := func(ctx context.Context, p *core.Problem, _ *core.SolveOptions) (*core.Solution, error) {
+		return entry.Solve(ctx, p, opts)
 	}
 
 	net := transport.NewInMemory()
@@ -108,7 +117,7 @@ func run(args []string, out io.Writer) error {
 
 	start := time.Now()
 	report, err := runtime.Run(ctx, net, g, runtime.Config{
-		Solver: solver,
+		Solver: solve,
 		Params: quantum.DefaultParams(),
 		Rounds: *rounds,
 		Seed:   *seed,
@@ -118,7 +127,7 @@ func run(args []string, out io.Writer) error {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(out, "algorithm:        %s\n", solver.Name())
+	fmt.Fprintf(out, "algorithm:        %s\n", entry.Name)
 	fmt.Fprintf(out, "channels routed:  %d\n", len(report.Solution.Tree.Channels))
 	fmt.Fprintf(out, "rounds executed:  %d in %v\n", report.Rounds, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "tree successes:   %d\n", report.Successes)
@@ -135,35 +144,4 @@ func run(args []string, out io.Writer) error {
 			i, ch.Links(), cs, report.Rounds, ch.Rate)
 	}
 	return nil
-}
-
-// pickSolver resolves the CLI name through the solver registry. Schemes
-// that consume randomness (Algorithm 4's random start) draw from a stream
-// seeded with the run seed; seed 0 leaves them deterministic.
-func pickSolver(alg string, seed int64) (core.Solver, error) {
-	entry, err := solver.Get(alg)
-	if err != nil {
-		return nil, err
-	}
-	if !entry.ConsumesRNG || seed == 0 {
-		return entry.Solver(), nil
-	}
-	stream := rand.New(rand.NewSource(seed))
-	return core.SolverFunc{ID: entry.Name, Fn: func(ctx context.Context, p *core.Problem, opts *core.SolveOptions) (*core.Solution, error) {
-		if opts.Rand() == nil {
-			opts = &core.SolveOptions{RNG: stream, Stats: opts.StatsSink()}
-		}
-		return entry.Solve(ctx, p, opts)
-	}}, nil
-}
-
-// withStatsSink routes every solve through st unless the caller already
-// supplied a sink of its own.
-func withStatsSink(s core.Solver, st *core.SolveStats) core.Solver {
-	return core.SolverFunc{ID: s.Name(), Fn: func(ctx context.Context, p *core.Problem, opts *core.SolveOptions) (*core.Solution, error) {
-		if opts.StatsSink() == nil {
-			opts = &core.SolveOptions{RNG: opts.Rand(), Stats: st}
-		}
-		return s.Solve(ctx, p, opts)
-	}}
 }

@@ -41,33 +41,33 @@ func main() {
 
 	// Compare every scheme on the same instance.
 	fmt.Println("routing scheme comparison:")
-	var best quantumnet.Solver
+	best := ""
 	bestRate := -1.0
-	for _, solver := range quantumnet.Solvers() {
-		sol, err := solver.Solve(context.Background(), prob, nil)
+	for _, name := range quantumnet.Solvers() {
+		sol, err := quantumnet.Solve(context.Background(), name, prob, nil)
 		if err != nil {
 			if errors.Is(err, quantumnet.ErrInfeasible) {
-				fmt.Printf("  %-8s infeasible under switch capacity\n", solver.Name())
+				fmt.Printf("  %-8s infeasible under switch capacity\n", name)
 				continue
 			}
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-8s rate %.4e over %d channels\n",
-			solver.Name(), sol.Rate(), len(sol.Tree.Channels))
+			name, sol.Rate(), len(sol.Tree.Channels))
 		// Track the best *implementable* scheme: alg2 assumes boosted
 		// switches, so prefer the capacity-aware ones for deployment.
-		if solver.Name() != "alg2" && sol.Rate() > bestRate {
-			best, bestRate = solver, sol.Rate()
+		if name != "alg2" && sol.Rate() > bestRate {
+			best, bestRate = name, sol.Rate()
 		}
 	}
-	if best == nil {
+	if best == "" {
 		log.Fatal("no scheme produced a deployable plan")
 	}
 
 	// Execute the winning plan distributed: processors request entanglement,
 	// the controller routes and disseminates, switches perform heralded BSMs
 	// in synchronized rounds.
-	fmt.Printf("\nexecuting %s distributed (every node is a goroutine):\n", best.Name())
+	fmt.Printf("\nexecuting %s distributed (every node is a goroutine):\n", best)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	report, err := quantumnet.RunDistributed(ctx, g, best, 20_000, 2026)

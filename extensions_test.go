@@ -2,7 +2,9 @@ package quantumnet_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -137,6 +139,49 @@ func TestFacadeExactSolver(t *testing.T) {
 	}
 	if gap < 0 || gap > 1+1e-9 {
 		t.Fatalf("gap = %g", gap)
+	}
+}
+
+// TestOptimalityGapGolden pins the facade's gap values on seeded small
+// instances, under tight and ample switch budgets, printed at full float64
+// precision so any change in the heuristics or the gap arithmetic shows.
+func TestOptimalityGapGolden(t *testing.T) {
+	const want = `q=2 seed=1: alg3=1 alg4=0.9999999999999999 eqcast=0 nfusion=0.5830740419036542
+q=2 seed=2: alg3=1 alg4=1 eqcast=0.6822909306660887 nfusion=0.7083113671753601
+q=2 seed=3: alg3=1 alg4=1 eqcast=0.8183806050938202 nfusion=0.7290000000000001
+q=4 seed=1: alg3=1 alg4=0.9999999999999999 eqcast=0.12696770396575527 nfusion=0.5830740419036542
+q=4 seed=2: alg3=1 alg4=1 eqcast=0.6822909306660887 nfusion=0.7083113671753601
+q=4 seed=3: alg3=1 alg4=1 eqcast=0.8183806050938202 nfusion=0.7290000000000001
+`
+	var got strings.Builder
+	for _, qubits := range []int{2, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			topo := quantumnet.DefaultTopology()
+			topo.Users = 4
+			topo.Switches = 7
+			topo.SwitchQubits = qubits
+			g, err := quantumnet.Generate(topo, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prob, err := quantumnet.AllUsersProblem(g, quantumnet.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "q=%d seed=%d:", qubits, seed)
+			for _, name := range quantumnet.Solvers()[1:] {
+				gap, err := quantumnet.OptimalityGap(context.Background(), prob, name, quantumnet.ExactLimits{})
+				if err != nil {
+					fmt.Fprintf(&got, " %s=err(%v)", name, err)
+					continue
+				}
+				fmt.Fprintf(&got, " %s=%s", name, strconv.FormatFloat(gap, 'g', -1, 64))
+			}
+			got.WriteString("\n")
+		}
+	}
+	if got.String() != want {
+		t.Errorf("gaps:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

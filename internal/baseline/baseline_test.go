@@ -199,16 +199,16 @@ func TestNFusionPenalizedBelowPairwiseSchemes(t *testing.T) {
 func TestSolverAdapters(t *testing.T) {
 	g := meshNet(t, 8)
 	p := mustProblem(t, g)
-	for _, s := range []core.Solver{
-		core.SolverFunc{ID: "eqcast", Fn: SolveEQCastContext},
-		core.SolverFunc{ID: "nfusion", Fn: SolveNFusionContext},
+	for name, solve := range map[string]core.SolveFunc{
+		"eqcast":  SolveEQCastContext,
+		"nfusion": SolveNFusionContext,
 	} {
-		sol, err := s.Solve(context.Background(), p, nil)
+		sol, err := solve(context.Background(), p, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if sol.Algorithm != s.Name() {
-			t.Errorf("algorithm %q != solver %q", sol.Algorithm, s.Name())
+		if sol.Algorithm != name {
+			t.Errorf("algorithm %q != solver %q", sol.Algorithm, name)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/muerp/quantumnet/internal/graph"
@@ -67,6 +68,41 @@ func TestBuildGreedyTreeRollsBackOnInfeasibility(t *testing.T) {
 	}
 	if got := led.UsedQubits(); got != 0 {
 		t.Fatalf("%d qubits leaked after failed build", got)
+	}
+	// The committed channel's reserve closed switch 3 and the rollback
+	// reopened it: the budgets are back, the closure generation is not.
+	want := quantum.LedgerState{Free: []int{0, 0, 0, 2}, Gen: 1}
+	if got := led.ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ledger after rollback = %+v, want %+v", got, want)
+	}
+}
+
+// TestGreedyAndPrimErrorTexts pins the error texts both callers of the
+// growth loop report — the CLIs print them and HTTP bodies carry them — for
+// a dead end and for a cancelled context.
+func TestGreedyAndPrimErrorTexts(t *testing.T) {
+	p := mustProblem(t, quantumGraphWithIsolatedUser(t), quantum.DefaultParams())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		ctx  context.Context
+		prim bool
+		want string
+	}{
+		{context.Background(), false, "core: no feasible entanglement tree exists: 1 users unreachable under shared capacity"},
+		{context.Background(), true, "core: no feasible entanglement tree exists: 1 users unreachable under switch capacity (algorithm 4)"},
+		{cancelled, false, "core: BuildGreedyTree: context canceled"},
+		{cancelled, true, "algorithm 4: context canceled"},
+	} {
+		var err error
+		if tc.prim {
+			_, err = SolvePrimContext(tc.ctx, p, nil)
+		} else {
+			_, err = BuildGreedyTree(tc.ctx, p, quantum.NewLedger(p.Graph), nil)
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("prim=%v: error %v, want %q", tc.prim, err, tc.want)
+		}
 	}
 }
 

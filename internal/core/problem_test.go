@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/muerp/quantumnet/internal/graph"
@@ -120,20 +121,25 @@ func TestProblemValidateRejectsNil(t *testing.T) {
 func TestSolverAdapters(t *testing.T) {
 	g := fourUserNet(t)
 	p := mustProblem(t, g, quantum.DefaultParams())
-	for _, s := range []Solver{
-		SolverFunc{ID: "alg2", Fn: SolveOptimalContext},
-		SolverFunc{ID: "alg3", Fn: SolveConflictFreeContext},
-		Prim(0), Prim(11),
+	for _, s := range []struct {
+		name  string
+		solve SolveFunc
+		opts  *SolveOptions
+	}{
+		{"alg2", SolveOptimalContext, nil},
+		{"alg3", SolveConflictFreeContext, nil},
+		{"alg4", SolvePrimContext, nil},
+		{"alg4", SolvePrimContext, &SolveOptions{RNG: rand.New(rand.NewSource(11))}},
 	} {
-		sol, err := s.Solve(context.Background(), p, nil)
+		sol, err := s.solve(context.Background(), p, s.opts)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		if sol.Algorithm != s.Name() {
-			t.Errorf("solution algorithm %q != solver name %q", sol.Algorithm, s.Name())
+		if sol.Algorithm != s.name {
+			t.Errorf("solution algorithm %q != solver name %q", sol.Algorithm, s.name)
 		}
 		if err := p.Validate(sol); err != nil {
-			t.Errorf("%s produced invalid tree: %v", s.Name(), err)
+			t.Errorf("%s produced invalid tree: %v", s.name, err)
 		}
 	}
 }

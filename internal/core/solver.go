@@ -218,54 +218,3 @@ func ctxErr(ctx context.Context) error {
 // per-solve options. It returns ErrInfeasible (wrapped) when no
 // entanglement tree exists under the problem's constraints.
 type SolveFunc func(ctx context.Context, p *Problem, opts *SolveOptions) (*Solution, error)
-
-// Solver is anything that can route a MUERP instance under the SolveFunc
-// contract. The simulation harness, the benchmarks, the distributed runtime
-// and the public facade all treat routing schemes uniformly through it.
-type Solver interface {
-	// Name is a short stable identifier ("alg2", "alg3", ...), used as the
-	// column key in experiment output and as the registry key.
-	Name() string
-	// Solve routes the problem; see SolveFunc for the contract.
-	Solve(ctx context.Context, p *Problem, opts *SolveOptions) (*Solution, error)
-}
-
-// SolverFunc adapts a SolveFunc to the Solver interface.
-type SolverFunc struct {
-	ID string
-	Fn SolveFunc
-}
-
-// Name implements Solver.
-func (s SolverFunc) Name() string { return s.ID }
-
-// Solve implements Solver.
-func (s SolverFunc) Solve(ctx context.Context, p *Problem, opts *SolveOptions) (*Solution, error) {
-	return s.Fn(ctx, p, opts)
-}
-
-// Prim returns Algorithm 4 as a Solver. Seed semantics:
-//
-//   - seed == 0: every Solve call starts deterministically from the first
-//     user (unless the call's SolveOptions carries an RNG).
-//   - seed != 0: the Solver owns ONE rand stream seeded with seed, and each
-//     Solve call draws its starting user from that stream — successive
-//     solves of the same Solver explore different starts. (It used to
-//     re-seed a fresh stream per call, which made every solve pick the
-//     identical "random" start; TestPrimSeedStreamAdvances pins the fixed
-//     behavior.) A stream-owning Solver is stateful and must not be used
-//     from concurrent goroutines.
-//
-// An explicit SolveOptions.RNG always takes precedence over the stream.
-func Prim(seed int64) Solver {
-	var stream *rand.Rand
-	if seed != 0 {
-		stream = rand.New(rand.NewSource(seed))
-	}
-	return SolverFunc{ID: "alg4", Fn: func(ctx context.Context, p *Problem, opts *SolveOptions) (*Solution, error) {
-		if opts.Rand() == nil && stream != nil {
-			opts = &SolveOptions{RNG: stream, Stats: opts.StatsSink()}
-		}
-		return SolvePrimContext(ctx, p, opts)
-	}}
-}

@@ -149,27 +149,6 @@ func Solve(ctx context.Context, p *core.Problem, lim Limits, opts *core.SolveOpt
 	return &core.Solution{Tree: tree, Algorithm: "exact", MeasurementFactor: 1}, nil
 }
 
-// OptimalityGap runs the exact solver and a heuristic side by side and
-// returns heuristicRate/optimalRate in [0, 1] (1 = the heuristic was
-// optimal; 0 = the heuristic failed on a feasible instance).
-func OptimalityGap(ctx context.Context, p *core.Problem, solver core.Solver, lim Limits) (float64, error) {
-	opt, err := Solve(ctx, p, lim, nil)
-	if err != nil {
-		return 0, err
-	}
-	sol, err := solver.Solve(ctx, p, nil)
-	if err != nil {
-		if errors.Is(err, core.ErrInfeasible) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	if err := p.Validate(sol); err != nil {
-		return 0, fmt.Errorf("exact: heuristic %s produced an invalid tree: %w", solver.Name(), err)
-	}
-	return sol.Rate() / opt.Rate(), nil
-}
-
 // enumerateChannels lists every simple channel between user pairs.
 func enumerateChannels(p *core.Problem, maxChannels int) ([]quantum.Channel, error) {
 	users := make(map[graph.NodeID]bool, len(p.Users))

@@ -16,16 +16,3 @@ func (t Tree) QubitLoad() map[graph.NodeID]int {
 	}
 	return load
 }
-
-// Fits reports whether the ledger can absorb the given per-switch qubit
-// load right now (load is Tree.QubitLoad's shape: switch → qubits
-// demanded).
-func (l *Ledger) Fits(load map[graph.NodeID]int) bool {
-	for id, need := range load {
-		l.check(id)
-		if l.free[id] < need {
-			return false
-		}
-	}
-	return true
-}

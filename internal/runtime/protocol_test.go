@@ -40,7 +40,7 @@ func newProtoFixture(t *testing.T) *protoFixture {
 			conn: ctrlConn,
 			g:    g,
 			cfg: Config{
-				Solver: core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext},
+				Solver: core.SolveConflictFreeContext,
 				Params: quantum.DefaultParams(),
 				Rounds: 1,
 				Seed:   1,

@@ -15,8 +15,10 @@ import (
 
 // Config parameterizes one distributed entanglement execution.
 type Config struct {
-	// Solver computes the routing plan from the collected requests.
-	Solver core.Solver
+	// Solver computes the routing plan from the collected requests. It is
+	// called once, with nil SolveOptions; a caller that wants randomness or
+	// work counters closes over its own.
+	Solver core.SolveFunc
 	// Params are the physical-layer constants shared by all nodes.
 	Params quantum.Params
 	// Rounds is the number of synchronized entanglement rounds to run.
@@ -156,7 +158,7 @@ func runController(ctx context.Context, ctrl *controller) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("runtime: building problem: %w", err)
 	}
-	sol, err := ctrl.cfg.Solver.Solve(ctx, prob, nil)
+	sol, err := ctrl.cfg.Solver(ctx, prob, nil)
 	if err != nil {
 		return Report{}, fmt.Errorf("runtime: routing: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func testNet(t *testing.T) *graph.Graph {
 
 func testConfig(rounds int) Config {
 	return Config{
-		Solver: core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext},
+		Solver: core.SolveConflictFreeContext,
 		Params: quantum.DefaultParams(),
 		Rounds: rounds,
 		Seed:   42,
@@ -126,7 +127,7 @@ func TestRunWithNFusionMeasurementFactor(t *testing.T) {
 	net := transport.NewInMemory()
 	defer func() { _ = net.Close() }()
 	cfg := testConfig(6000)
-	cfg.Solver = core.SolverFunc{ID: "nfusion", Fn: baseline.SolveNFusionContext}
+	cfg.Solver = baseline.SolveNFusionContext
 	report, err := Run(runCtx(t), net, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,25 +228,31 @@ func TestReportAccessorsOnZeroValue(t *testing.T) {
 
 func TestRunWithEverySolver(t *testing.T) {
 	g := testNet(t)
-	solvers := []core.Solver{
-		core.SolverFunc{ID: "alg2", Fn: core.SolveOptimalContext}, // testNet switches have 8 >= 2|U| = 6 qubits
-		core.SolverFunc{ID: "alg3", Fn: core.SolveConflictFreeContext},
-		core.Prim(7),
-		core.SolverFunc{ID: "eqcast", Fn: baseline.SolveEQCastContext},
-		core.SolverFunc{ID: "nfusion", Fn: baseline.SolveNFusionContext},
+	prim := func(ctx context.Context, p *core.Problem, _ *core.SolveOptions) (*core.Solution, error) {
+		return core.SolvePrimContext(ctx, p, &core.SolveOptions{RNG: rand.New(rand.NewSource(7))})
+	}
+	solvers := []struct {
+		name  string
+		solve core.SolveFunc
+	}{
+		{"alg2", core.SolveOptimalContext}, // testNet switches have 8 >= 2|U| = 6 qubits
+		{"alg3", core.SolveConflictFreeContext},
+		{"alg4", prim},
+		{"eqcast", baseline.SolveEQCastContext},
+		{"nfusion", baseline.SolveNFusionContext},
 	}
 	for _, solver := range solvers {
-		t.Run(solver.Name(), func(t *testing.T) {
+		t.Run(solver.name, func(t *testing.T) {
 			net := transport.NewInMemory()
 			defer func() { _ = net.Close() }()
 			cfg := testConfig(200)
-			cfg.Solver = solver
+			cfg.Solver = solver.solve
 			report, err := Run(runCtx(t), net, g, cfg)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if report.Solution.Algorithm != solver.Name() {
-				t.Fatalf("executed %q, want %q", report.Solution.Algorithm, solver.Name())
+			if report.Solution.Algorithm != solver.name {
+				t.Fatalf("executed %q, want %q", report.Solution.Algorithm, solver.name)
 			}
 			if report.Rounds != 200 {
 				t.Fatalf("Rounds = %d", report.Rounds)

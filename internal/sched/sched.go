@@ -221,6 +221,14 @@ func SimulateContext(ctx context.Context, g *graph.Graph, requests []Request, pa
 		return ordered[i].ID < ordered[j].ID
 	})
 
+	// One template Problem per run: every request's Problem derives from it
+	// through WithUsers and shares its search engine. It is built on the
+	// first request's users, so a graph or params error reads as that
+	// request's, exactly as building the request's own Problem would.
+	tmpl, err := core.NewProblem(g, ordered[0].Users, params)
+	if err != nil {
+		return Report{}, fmt.Errorf("sched: request %d: %w", ordered[0].ID, err)
+	}
 	led := quantum.NewLedger(g)
 	var active []session
 	report := Report{}
@@ -228,7 +236,7 @@ func SimulateContext(ctx context.Context, g *graph.Graph, requests []Request, pa
 		// Departures strictly before (or at) this arrival free their qubits.
 		active = expireSessions(led, active, req.Arrival)
 
-		prob, err := core.NewProblem(g, req.Users, params)
+		prob, err := tmpl.WithUsers(req.Users)
 		if err != nil {
 			return Report{}, fmt.Errorf("sched: request %d: %w", req.ID, err)
 		}

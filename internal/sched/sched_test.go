@@ -309,6 +309,31 @@ func TestSimulateDistinguishesErrorsFromRejections(t *testing.T) {
 	}
 }
 
+// TestSimulateBadRequestErrorText pins the error a malformed request
+// aborts the run with, whether it arrives first or after admitted ones, and
+// the error of invalid physical parameters.
+func TestSimulateBadRequestErrorText(t *testing.T) {
+	g := bottleneck(t)
+	good := Request{ID: 7, Users: []graph.NodeID{0, 1}, Arrival: 0, Hold: 10}
+	bad := Request{ID: 3, Users: []graph.NodeID{2, 4}, Arrival: 1, Hold: 10}
+	badParams := quantum.DefaultParams()
+	badParams.SwapProb = 2
+	for _, tc := range []struct {
+		reqs   []Request
+		params quantum.Params
+		want   string
+	}{
+		{[]Request{bad}, quantum.DefaultParams(), "sched: request 3: core: user set entry is not a user node: node 4"},
+		{[]Request{good, bad}, quantum.DefaultParams(), "sched: request 3: core: user set entry is not a user node: node 4"},
+		{[]Request{bad, good}, badParams, "sched: request 7: quantum: invalid physical parameters: swap probability 2 must be in (0, 1]"},
+	} {
+		_, err := Simulate(g, tc.reqs, tc.params)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("error %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestSimulateContextCancellationPropagates(t *testing.T) {
 	g := bottleneck(t)
 	ctx, cancel := context.WithCancel(context.Background())

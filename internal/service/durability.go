@@ -184,19 +184,6 @@ func (s *Server) noteDurabilityFailure(err error) {
 	}
 }
 
-// stateLocked captures the Server's durable state. Callers hold s.mu.
-func (s *Server) stateLocked() State {
-	st := State{
-		NextID:   s.nextID.Load(),
-		Ledger:   s.led.ExportState(),
-		Sessions: make([]SessionState, len(s.expiry)),
-	}
-	for i, sess := range s.expiry {
-		st.Sessions[i] = SessionState{Info: sess.info, Tree: sess.tree}
-	}
-	return st
-}
-
 // StateDump returns the server's current durable state — the same document
 // a snapshot would persist. Tests and tools compare recovered servers
 // against live ones by comparing marshaled dumps (JSON serialization
@@ -204,7 +191,7 @@ func (s *Server) stateLocked() State {
 func (s *Server) StateDump() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stateLocked()
+	return s.dump()
 }
 
 // snapshotLoop is the background snapshotter: it folds the WAL into a fresh
@@ -235,7 +222,7 @@ func (s *Server) snapshotNow() {
 		s.mu.Unlock()
 		return
 	}
-	st := s.stateLocked()
+	st := s.dump()
 	s.mu.Unlock()
 
 	meta, err := snapshot.Save(snapDir(s.dur.dir), seq, s.clock.Now(), st)
@@ -357,9 +344,10 @@ func normalizeJSON(b []byte) []byte {
 	return buf.Bytes()
 }
 
-// replayState is the durable-state machine shared by Server recovery and
-// cmd/qrecover: a ledger, session table and expiry heap that snapshot
-// restore and WAL replay drive exactly like live admission does.
+// replayState is the durable state: a ledger, session table, expiry heap
+// and ID counter. The Server embeds the one it admits against; recovery
+// (Server boot and cmd/qrecover) rebuilds one by snapshot restore and WAL
+// replay, which drive it exactly like live admission does.
 type replayState struct {
 	led      *quantum.Ledger
 	sessions map[string]*session
@@ -441,6 +429,8 @@ func (rs *replayState) apply(seq uint64, payload []byte) error {
 	return nil
 }
 
+// dump captures the state as a snapshot persists it. A Server's caller
+// holds s.mu.
 func (rs *replayState) dump() State {
 	st := State{
 		NextID:   rs.nextID,
@@ -530,10 +520,7 @@ func (s *Server) openDurability(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	s.led = rec.rs.led
-	s.sessions = rec.rs.sessions
-	s.expiry = rec.rs.expiry
-	s.nextID.Store(rec.rs.nextID)
+	s.replayState = *rec.rs
 
 	log, err := wal.Create(walDir(cfg.DataDir), rec.NextSeq, wal.Options{NoSync: cfg.NoSync})
 	if err != nil {

@@ -252,19 +252,17 @@ type Server struct {
 	closing   atomic.Bool
 	closeOnce sync.Once
 
-	// mu guards the ledger, session table, expiry heap and the aggregates
+	// mu guards the durable state (ledger, session table, expiry heap and ID
+	// counter, the same replayState recovery rebuilds) and the aggregates
 	// below; it is the single mutation lock of the Ledger contract.
-	mu       sync.Mutex
-	led      *quantum.Ledger
-	sessions map[string]*session
-	expiry   expiryHeap
-	work     core.SolveStats // aggregated across every solve
-	sumRate  float64         // sum of accepted session rates
-	peak     int             // high-water mark of reserved qubits
+	mu sync.Mutex
+	replayState
+	work    core.SolveStats // aggregated across every solve
+	sumRate float64         // sum of accepted session rates
+	peak    int             // high-water mark of reserved qubits
 
-	nextID atomic.Uint64
-	ctrs   counters
-	lat    *histogram
+	ctrs counters
+	lat  *histogram
 
 	// dur is the durability runtime (WAL + snapshots); nil without DataDir.
 	dur *durability
@@ -289,15 +287,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		tmpl:     tmpl,
-		clock:    cfg.Clock,
-		start:    cfg.Clock.Now(),
-		led:      quantum.NewLedger(cfg.Graph),
-		sessions: make(map[string]*session),
-		quit:     make(chan struct{}),
-		arrive:   make(chan struct{}, 1),
-		lat:      newHistogram(),
+		cfg:         cfg,
+		tmpl:        tmpl,
+		clock:       cfg.Clock,
+		start:       cfg.Clock.Now(),
+		replayState: *newReplayState(cfg.Graph),
+		quit:        make(chan struct{}),
+		arrive:      make(chan struct{}, 1),
+		lat:         newHistogram(),
 	}
 	policy, err := cfg.tenantPolicy()
 	if err != nil {
@@ -568,7 +565,8 @@ func (s *Server) admitOneLocked(now time.Time, p *pending) (SessionInfo, error) 
 		}
 		return SessionInfo{}, err
 	}
-	id := fmt.Sprintf("s-%d", s.nextID.Add(1))
+	s.nextID++
+	id := fmt.Sprintf("s-%d", s.nextID)
 	sess := &session{
 		info: SessionInfo{
 			ID:         id,
@@ -592,7 +590,7 @@ func (s *Server) admitOneLocked(now time.Time, p *pending) (SessionInfo, error) 
 	s.appendRecordLocked(walRecord{T: recAdmit, Admit: &admitRecord{
 		Info:   sess.info,
 		Tree:   tree,
-		NextID: s.nextID.Load(),
+		NextID: s.nextID,
 	}})
 	return sess.info, nil
 }

@@ -53,17 +53,34 @@ func DefaultGapConfig() GapConfig {
 // the solver registry. Algorithm 2 is excluded: it is only defined under
 // sufficient capacity, where Theorem 3 already proves it optimal. Algorithm
 // 4 runs without an RNG, i.e. deterministically from the first user.
-func gapSolvers() []core.Solver {
+func gapSolvers() []solver.Entry {
 	names := []string{AlgConflictFree, AlgPrim, AlgEQCast, AlgNFusion}
-	out := make([]core.Solver, 0, len(names))
+	out := make([]solver.Entry, 0, len(names))
 	for _, n := range names {
 		e, err := solver.Get(n)
 		if err != nil {
 			panic(err) // built-in names; unreachable
 		}
-		out = append(out, e.Solver())
+		out = append(out, e)
 	}
 	return out
+}
+
+// InstanceGap routes p with e and returns its rate as a fraction of opt,
+// the exact optimum's: 1 when the scheme was optimal, 0 when it found the
+// feasible instance infeasible.
+func InstanceGap(ctx context.Context, p *core.Problem, e solver.Entry, opt *core.Solution) (float64, error) {
+	sol, err := e.Solve(ctx, p, nil)
+	if err != nil {
+		if errors.Is(err, core.ErrInfeasible) {
+			return 0, nil
+		}
+		return 0, err
+	}
+	if err := p.Validate(sol); err != nil {
+		return 0, fmt.Errorf("%s produced an invalid tree: %w", e.Name, err)
+	}
+	return sol.Rate() / opt.Rate(), nil
 }
 
 // OptimalityGaps runs the study and returns one Series point per qubit
@@ -121,19 +138,12 @@ func gapPoint(cfg GapConfig, qubits int) (PointResult, error) {
 			}
 			return PointResult{}, err
 		}
-		for _, sv := range solvers {
-			sol, err := sv.Solve(context.Background(), prob, nil)
+		for _, e := range solvers {
+			gap, err := InstanceGap(context.Background(), prob, e, opt)
 			if err != nil {
-				if errors.Is(err, core.ErrInfeasible) {
-					gaps[sv.Name()] = append(gaps[sv.Name()], 0)
-					continue
-				}
 				return PointResult{}, err
 			}
-			if err := prob.Validate(sol); err != nil {
-				return PointResult{}, fmt.Errorf("%s produced an invalid tree: %w", sv.Name(), err)
-			}
-			gaps[sv.Name()] = append(gaps[sv.Name()], sol.Rate()/opt.Rate())
+			gaps[e.Name] = append(gaps[e.Name], gap)
 		}
 	}
 	point := PointResult{
@@ -141,8 +151,8 @@ func gapPoint(cfg GapConfig, qubits int) (PointResult, error) {
 		X:       float64(qubits),
 		Summary: make(map[string]stats.Summary, len(solvers)),
 	}
-	for _, sv := range solvers {
-		point.Summary[sv.Name()] = stats.Summarize(gaps[sv.Name()])
+	for _, e := range solvers {
+		point.Summary[e.Name] = stats.Summarize(gaps[e.Name])
 	}
 	return point, nil
 }

@@ -1,9 +1,50 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/muerp/quantumnet/internal/core"
+	"github.com/muerp/quantumnet/internal/exact"
+	"github.com/muerp/quantumnet/internal/solver"
+	"github.com/muerp/quantumnet/internal/topology"
 )
+
+func TestInstanceGap(t *testing.T) {
+	topo := topology.Default()
+	topo.Users = 3
+	topo.Switches = 4
+	topo.SwitchQubits = 2
+	g, err := topology.Generate(topo, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.AllUsersProblem(g, DefaultConfig().Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := exact.Solve(context.Background(), p, exact.DefaultLimits(), nil)
+	if err != nil {
+		if errors.Is(err, core.ErrInfeasible) {
+			t.Skip("instance infeasible")
+		}
+		t.Fatal(err)
+	}
+	e, err := solver.Get(AlgConflictFree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap, err := InstanceGap(context.Background(), p, e, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap < 0 || gap > 1+1e-9 {
+		t.Fatalf("gap = %g outside [0, 1]", gap)
+	}
+}
 
 func TestOptimalityGaps(t *testing.T) {
 	cfg := DefaultGapConfig()

@@ -7,7 +7,8 @@
 // and every dispatch site (the sim harness and its ablations, the public
 // facade, the CLIs, repair and the slot engine) resolves schemes through Get
 // and List instead of switching on names. The registered SolveFunc is each
-// scheme's one entry point.
+// scheme's one entry point and the only solve contract: callers that need
+// a seeded RNG stream or a stats sink pass their own core.SolveOptions.
 package solver
 
 import (
@@ -40,11 +41,6 @@ type Entry struct {
 	Default bool
 	// Solve routes a problem under the scheme; see core.SolveFunc.
 	Solve core.SolveFunc
-}
-
-// Solver adapts the entry to the core.Solver interface.
-func (e Entry) Solver() core.Solver {
-	return core.SolverFunc{ID: e.Name, Fn: e.Solve}
 }
 
 // registry holds entries in registration order, which is the canonical plot

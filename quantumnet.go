@@ -12,6 +12,10 @@
 //	prob, _ := quantumnet.NewProblem(g, g.Users(), quantumnet.DefaultParams())
 //	sol, _ := quantumnet.Solve(context.Background(), "alg3", prob, nil)
 //	fmt.Println(sol.Rate())
+//
+// Every routing scheme is named by its registry key ("alg3", ...): Solve,
+// OptimalityGap and RunDistributed take the name, and Solvers and
+// SolverNames list them.
 package quantumnet
 
 import (
@@ -113,9 +117,6 @@ type (
 	Problem = core.Problem
 	// Solution is a routed entanglement tree.
 	Solution = core.Solution
-	// Solver is any routing scheme under the context-aware solve contract:
-	// Solve(ctx, problem, options).
-	Solver = core.Solver
 	// SolveOptions carries per-solve inputs: an explicit RNG stream for
 	// stochastic schemes and an optional Stats sink. nil is valid.
 	SolveOptions = core.SolveOptions
@@ -167,19 +168,29 @@ func SolveExact(ctx context.Context, p *Problem, lim ExactLimits, opts *SolveOpt
 	return exact.Solve(ctx, p, lim, opts)
 }
 
-// OptimalityGap returns solver's achieved rate as a fraction of the exact
-// optimum on a small instance (1 = optimal).
-func OptimalityGap(ctx context.Context, p *Problem, sv Solver, lim ExactLimits) (float64, error) {
-	return exact.OptimalityGap(ctx, p, sv, lim)
+// OptimalityGap returns the named algorithm's achieved rate as a fraction
+// of the exact optimum on a small instance (1 = optimal, 0 = the algorithm
+// found the instance infeasible).
+func OptimalityGap(ctx context.Context, p *Problem, algorithm string, lim ExactLimits) (float64, error) {
+	entry, err := solver.Get(algorithm)
+	if err != nil {
+		return 0, err
+	}
+	opt, err := exact.Solve(ctx, p, lim, nil)
+	if err != nil {
+		return 0, err
+	}
+	return sim.InstanceGap(ctx, p, entry, opt)
 }
 
-// Solvers returns the paper's evaluated routing schemes in plot order,
-// derived from the solver registry (the single source of truth).
-func Solvers() []Solver {
+// Solvers returns the names of the paper's evaluated routing schemes in
+// plot order, derived from the solver registry (the single source of
+// truth).
+func Solvers() []string {
 	entries := solver.Defaults()
-	out := make([]Solver, len(entries))
+	out := make([]string, len(entries))
 	for i, e := range entries {
-		out[i] = e.Solver()
+		out[i] = e.Name
 	}
 	return out
 }
@@ -318,13 +329,18 @@ type (
 
 // RunDistributed executes the request → plan → synchronized-rounds protocol
 // of the paper's §II-B on an in-process message plane, with every network
-// node running as its own goroutine. It routes with the given solver and
-// executes the given number of entanglement rounds.
-func RunDistributed(ctx context.Context, g *Graph, solver Solver, rounds int, seed int64) (RuntimeReport, error) {
+// node running as its own goroutine. It routes with the named algorithm
+// (solved with nil SolveOptions, as Solve does) and executes the given
+// number of entanglement rounds.
+func RunDistributed(ctx context.Context, g *Graph, algorithm string, rounds int, seed int64) (RuntimeReport, error) {
+	entry, err := solver.Get(algorithm)
+	if err != nil {
+		return RuntimeReport{}, err
+	}
 	net := transport.NewInMemory()
 	defer func() { _ = net.Close() }()
 	report, err := runtime.Run(ctx, net, g, runtime.Config{
-		Solver: solver,
+		Solver: entry.Solve,
 		Params: quantum.DefaultParams(),
 		Rounds: rounds,
 		Seed:   seed,
